@@ -15,6 +15,7 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "core/run_loop.hh"
 #include "core/sim_config.hh"
 #include "obs/sampler.hh"
 #include "obs/span.hh"
@@ -70,9 +71,9 @@ class PerfectSystem : private ooo::MemBackend
     void setSampler(obs::Sampler *sampler);
 
     /** Attach a wall-clock phase profiler (see
-     *  core::DataScalarSystem::setProfiler); the single-core loop
-     *  reports one coarse "tick" phase. Never perturbs results. */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
+     *  core::DataScalarSystem::setProfiler; the same core::runLoop()
+     *  phases). Never perturbs results. */
+    void setProfiler(obs::SpanRecorder *prof) { obs_.prof = prof; }
 
     /** Write a gem5-style stats dump (rendered from the snapshot). */
     void dumpStats(std::ostream &os) const;
@@ -95,10 +96,7 @@ class PerfectSystem : private ooo::MemBackend
     bool ran_ = false;
     core::RunResult lastResult_;
     TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
+    core::LoopObservers obs_;
 
     void applyTraceSinks();
 };

@@ -1,10 +1,8 @@
 #include "baseline/traditional.hh"
 
-#include <algorithm>
-
 #include "baseline/stats_util.hh"
 #include "common/logging.hh"
-#include "core/parallel_tick.hh"
+#include "core/run_loop.hh"
 
 namespace dscalar {
 namespace baseline {
@@ -100,61 +98,10 @@ TraditionalSystem::run()
 {
     panic_if(ran_, "TraditionalSystem::run called twice");
     ran_ = true;
-    // The traditional baseline is a single core: parallel node
-    // ticking has exactly one node to tick, so any tickThreads
-    // request resolves to the serial loop. Resolved here (rather
-    // than ignored) so --tick-threads validation behaves uniformly
-    // across systems.
-    core::resolveTickThreads(config_.tickThreads, 1);
-
-    unsigned ph_tick = 0;
-    if (prof_) {
-        ph_tick = prof_->addPhase("tick");
-        profStartNs_ = prof_->elapsedNs();
-        prof_->lapStart();
-    }
-
-    Cycle now = 0;
-    Cycle last_progress = 0;
-    InstSeq last_commit = 0;
-    while (!core_.done()) {
-        core_.tick(now);
-        if (core_.committedSeq() > last_commit) {
-            last_commit = core_.committedSeq();
-            last_progress = now;
-            stream_.trim(last_commit);
-        } else if (now - last_progress > config_.watchdogCycles) {
-            panic("traditional system: no commit progress for %llu "
-                  "cycles", (unsigned long long)config_.watchdogCycles);
-        }
-        ++now;
-        if (config_.eventDriven && !core_.done()) {
-            // Skip cycles where the core cannot act; a hung core
-            // still reaches the watchdog cycle and panics there.
-            Cycle deadline =
-                last_progress + config_.watchdogCycles + 1;
-            now = std::max(
-                now,
-                std::min(core_.nextEventCycle(now - 1), deadline));
-        }
-        // Cycles through now-1 are final (skipped ones are no-ops).
-        if (sampler_)
-            sampler_->advance(now - 1);
-    }
-    if (prof_) {
-        prof_->lap(ph_tick);
-        profEndNs_ = prof_->elapsedNs();
-    }
-
-    core::RunResult result;
-    result.cycles = now;
-    result.instructions = stream_.endSeq();
-    result.ipc = static_cast<double>(result.instructions) /
-                 static_cast<double>(result.cycles);
-    lastResult_ = result;
-    result.stats = snapshotStats();
-    lastResult_.stats = result.stats;
-    return result;
+    core::SingleCorePort port(core_);
+    lastResult_ = core::runLoop(port, stream_, config_, obs_);
+    lastResult_.stats = snapshotStats();
+    return lastResult_;
 }
 
 void
@@ -183,7 +130,7 @@ TraditionalSystem::applyTraceSinks()
 void
 TraditionalSystem::setSampler(obs::Sampler *sampler)
 {
-    sampler_ = sampler;
+    obs_.sampler = sampler;
     if (!sampler)
         return;
     sampler->addColumn("commit_rate", obs::Sampler::Mode::Delta,
@@ -224,9 +171,8 @@ TraditionalSystem::snapshotStats() const
     snap->addCounter(sys, "offchip_writes", offChipWrites_,
                      "off-chip writes and write-backs");
     buildCoreStats(*snap, core_.coreStats());
-    if (prof_)
-        obs::addProfileGroup(*snap, *prof_,
-                             profEndNs_ - profStartNs_);
+    if (obs_.prof)
+        obs::addProfileGroup(*snap, *obs_.prof, obs_.loopNs);
     return snap;
 }
 

@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "core/run_loop.hh"
 #include "core/sim_config.hh"
 #include "obs/sampler.hh"
 #include "obs/span.hh"
@@ -85,9 +86,9 @@ class TraditionalSystem : private ooo::MemBackend
     void setSampler(obs::Sampler *sampler);
 
     /** Attach a wall-clock phase profiler (see
-     *  core::DataScalarSystem::setProfiler); the single-core loop
-     *  reports one coarse "tick" phase. Never perturbs results. */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
+     *  core::DataScalarSystem::setProfiler; the same core::runLoop()
+     *  phases). Never perturbs results. */
+    void setProfiler(obs::SpanRecorder *prof) { obs_.prof = prof; }
 
     /** Write a gem5-style stats dump (rendered from the snapshot). */
     void dumpStats(std::ostream &os) const;
@@ -121,10 +122,7 @@ class TraditionalSystem : private ooo::MemBackend
     bool ran_ = false;
     core::RunResult lastResult_;
     TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
+    core::LoopObservers obs_;
 
     void applyTraceSinks();
 };

@@ -71,12 +71,6 @@ struct TrialConfig
     /** Also run the opposite run-loop mode and require identical
      *  cycles / stats. */
     bool crossEventDriven = false;
-    /** Intra-simulation tick threads (SimConfig::tickThreads);
-     *  1 = the serial loop. */
-    unsigned tickThreads = 1;
-    /** Also run with the serial/parallel tick loop flipped and
-     *  require identical cycles / output / stats. */
-    bool crossTickThreads = false;
     /** Also replay the golden trace through the same config and
      *  require identical cycles / output / stats. */
     bool crossReplay = false;

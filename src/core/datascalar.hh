@@ -17,6 +17,7 @@
 
 #include "common/trace.hh"
 #include "core/node.hh"
+#include "core/run_loop.hh"
 #include "core/sim_config.hh"
 #include "func/func_sim.hh"
 #include "func/inst_trace.hh"
@@ -48,16 +49,8 @@ class DataScalarSystem : public BroadcastPort
                      std::shared_ptr<const func::InstTrace> trace =
                          nullptr);
 
-    /**
-     * Run to completion (or the configured instruction budget).
-     *
-     * With SimConfig::tickThreads resolved above 1 the nodes tick
-     * concurrently in conservative windows bounded by the minimum
-     * cross-node delivery latency; results — cycle counts, stats,
-     * retirement output, trace-event streams, sampler timelines —
-     * are byte-identical to the serial loop (see docs/PERF.md and
-     * tests/test_parallel_tick.cc).
-     */
+    /** Run to completion (or the configured instruction budget)
+     *  through core::runLoop(). */
     RunResult run();
 
     unsigned numNodes() const { return config_.numNodes; }
@@ -131,15 +124,14 @@ class DataScalarSystem : public BroadcastPort
      * Attach a wall-clock phase profiler; nullptr (the default)
      * costs nothing on the run loop. The run loop then attributes
      * its wall time to named phases via @p prof's lap() accumulators
-     * — serial: delivery / recovery / tick / bookkeeping; parallel:
-     * setup / delivery / oracle_extend / tick / barrier /
-     * bookkeeping — and snapshotStats() appends them as the
-     * `profile` group (`phase_<name>_us` plus an independently
-     * measured `total_us`). Wall-clock only: simulated results are
+     * — delivery / recovery / tick / bookkeeping — and
+     * snapshotStats() appends them as the `profile` group
+     * (`phase_<name>_us` plus an independently measured
+     * `total_us`). Wall-clock only: simulated results are
      * byte-identical with or without a profiler (locked by
      * tests/test_obs_span.cc).
      */
-    void setProfiler(obs::SpanRecorder *prof) { prof_ = prof; }
+    void setProfiler(obs::SpanRecorder *prof) { obs_.prof = prof; }
 
     /** Write a gem5-style stats dump for the whole system. */
     void dumpStats(std::ostream &os) const;
@@ -177,19 +169,8 @@ class DataScalarSystem : public BroadcastPort
         }
     };
 
-    /** Per-run state of the parallel (windowed) loop; see the .cc. */
-    struct ParallelWindow;
-
-    /** The pre-existing serial run loop (tickThreads <= 1). */
-    RunResult runSerial();
-    /** Conservative-window parallel loop on @p threads workers. */
-    RunResult runParallel(unsigned threads);
-    /** Assemble the RunResult once the final cycle is known. */
-    RunResult finishRun(Cycle final_cycle, std::uint64_t loop_ticks);
-    /** Serial transmit path of broadcast(): puts the message on the
-     *  interconnect immediately and enqueues its deliveries. */
-    void broadcastNow(NodeId src, Addr line, interconnect::MsgKind kind,
-                      Cycle ready);
+    /** core::runLoop() port over the nodes and delivery queue. */
+    struct LoopPort;
 
     SimConfig config_;
     std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
@@ -209,17 +190,7 @@ class DataScalarSystem : public BroadcastPort
     RunResult lastResult_;
     /** Owned fan-out for attached trace sinks (empty = tracing off). */
     TeeTraceSink tee_;
-    obs::Sampler *sampler_ = nullptr;
-    obs::SpanRecorder *prof_ = nullptr;
-    /** Recorder-epoch stamps bracketing the run loop (profile group's
-     *  total_us; phases must sum to it, docs/OBSERVABILITY.md). */
-    std::uint64_t profStartNs_ = 0;
-    std::uint64_t profEndNs_ = 0;
-    /** Non-null only while worker threads are inside a parallel
-     *  window: broadcast() then buffers the send per source node
-     *  instead of transmitting, and the barrier replays the buffers
-     *  in the serial loop's order. */
-    ParallelWindow *pwin_ = nullptr;
+    LoopObservers obs_;
 
     /** Point nodes and the fault model at the current effective
      *  sink (&tee_, or nullptr when no sink is attached). */

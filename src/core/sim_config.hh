@@ -84,7 +84,7 @@ struct SimConfig
      *  deadlock would otherwise hang silently). */
     Cycle watchdogCycles = 5'000'000;
     /**
-     * Event-driven run loops: fast-forward the clock to the next
+     * Event-driven core::runLoop: fast-forward the clock to the next
      * cycle at which any node, delivery, or the watchdog can act,
      * instead of stepping one cycle at a time. Simulated cycle
      * counts and event statistics are identical either way (asserted
@@ -92,18 +92,6 @@ struct SimConfig
      * single-cycle-stepping loop. See docs/PERF.md.
      */
     bool eventDriven = true;
-    /**
-     * Worker threads ticking nodes concurrently inside one
-     * simulation (conservative-window PDES; see docs/PERF.md).
-     * 1 = today's serial run loop, verbatim. 0 = hardware
-     * concurrency clamped to the node count. Values > 1 tick all
-     * nodes in bounded windows no wider than the minimum cross-node
-     * delivery latency, exchanging interconnect messages only at
-     * window barriers; dumpStats(), the retirement output, and
-     * sampler timelines are byte-identical to the serial loop at
-     * any thread count (asserted by test_parallel_tick).
-     */
-    unsigned tickThreads = 1;
 };
 
 /** Aggregate outcome of one timing run. */
@@ -112,10 +100,6 @@ struct RunResult
     Cycle cycles = 0;
     InstSeq instructions = 0;
     double ipc = 0.0;
-    /** Run-loop iterations actually executed: equals @ref cycles when
-     *  single-stepping; smaller under event-driven skipping. Purely
-     *  diagnostic — excluded from equivalence comparisons. */
-    std::uint64_t loopTicks = 0;
     /** Full end-of-run stat snapshot (every sweep point carries one);
      *  renders as text via Snapshot::dump or JSON via
      *  stats::JsonWriter. */

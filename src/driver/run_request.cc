@@ -174,11 +174,10 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
     if (!kv::parseU64(value, v)) {
         if (key == "scale" || key == "nodes" || key == "max_insts" ||
             key == "block_pages" || key == "event_driven" ||
-            key == "tick_threads" || key == "fault_max_delay" ||
-            key == "fault_seed" || key == "rerequest_timeout" ||
-            key == "bshr_hard" || key == "bshr_capacity" ||
-            key == "trace_reuse" || key == "sample_interval" ||
-            key == "profile")
+            key == "fault_max_delay" || key == "fault_seed" ||
+            key == "rerequest_timeout" || key == "bshr_hard" ||
+            key == "bshr_capacity" || key == "trace_reuse" ||
+            key == "sample_interval" || key == "profile")
             return bad("an unsigned integer");
         error = "unknown key '" + key + "'";
         return false;
@@ -200,11 +199,7 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
         req.config.maxInsts = v;
     else if (key == "event_driven")
         req.config.eventDriven = v != 0;
-    else if (key == "tick_threads") {
-        if (v > 256)
-            return bad("a thread count in 0..256");
-        req.config.tickThreads = u();
-    } else if (key == "fault_max_delay")
+    else if (key == "fault_max_delay")
         req.config.fault.maxDelay = v;
     else if (key == "fault_seed")
         req.config.fault.seed = v;
@@ -292,7 +287,6 @@ formatRunRequest(const RunRequest &req)
     kv::emit(os, "block_pages", std::uint64_t(req.blockPages));
     kv::emit(os, "event_driven",
              std::uint64_t(req.config.eventDriven ? 1 : 0));
-    kv::emit(os, "tick_threads", std::uint64_t(req.config.tickThreads));
     kv::emit(os, "fault_drop", req.config.fault.dropProb);
     kv::emit(os, "fault_dup", req.config.fault.dupProb);
     kv::emit(os, "fault_delay", req.config.fault.delayProb);
@@ -330,7 +324,6 @@ runMeta(const RunRequest &req)
     meta.add("max_insts", std::uint64_t(req.config.maxInsts));
     meta.add("event_driven",
              std::uint64_t(req.config.eventDriven ? 1 : 0));
-    meta.add("tick_threads", std::uint64_t(req.config.tickThreads));
     if (req.sampleInterval)
         meta.add("sample_interval", std::uint64_t(req.sampleInterval));
     if (req.profile)

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/kv.hh"
 #include "common/logging.hh"
 #include "prog/assembler.hh"
 
@@ -110,6 +111,15 @@ class Parser
         long long v = std::strtoll(tok.c_str(), &end, 0);
         if (!end || *end != '\0')
             bad(line_no, "bad integer '" + tok + "'");
+        return v;
+    }
+
+    double
+    floating(const std::string &tok, unsigned line_no) const
+    {
+        double v = 0.0;
+        if (!common::kv::parseF64(tok, v))
+            bad(line_no, "bad number '" + tok + "'");
         return v;
     }
 
@@ -225,8 +235,7 @@ class Parser
                 program_.poke64(addr, static_cast<std::uint64_t>(
                                           integer(st.operands[2], n)));
             } else {
-                program_.pokeDouble(addr,
-                                    std::stod(st.operands[2]));
+                program_.pokeDouble(addr, floating(st.operands[2], n));
             }
             return;
         }

@@ -178,6 +178,19 @@ TEST(AsmParserDeath, WrongOperandCount)
                 ::testing::ExitedWithCode(1), "expects 3");
 }
 
+TEST(AsmParserDeath, BadDoubleOperand)
+{
+    EXPECT_EXIT(assembleSource(".global c, 8\n.double c, 0, abc\nhalt\n"),
+                ::testing::ExitedWithCode(1), "line 2: bad number 'abc'");
+}
+
+TEST(AsmParserDeath, DoubleOperandTrailingJunk)
+{
+    EXPECT_EXIT(
+        assembleSource(".global c, 8\n.double c, 0, 2.5junk\nhalt\n"),
+        ::testing::ExitedWithCode(1), "bad number '2.5junk'");
+}
+
 TEST(AsmParserDeath, ErrorsCarryLineNumbers)
 {
     EXPECT_EXIT(assembleSource("nop\nnop\nbogus\n"),

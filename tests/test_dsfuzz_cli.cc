@@ -8,6 +8,7 @@
  */
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -36,7 +37,10 @@ CliResult
 runDsfuzz(const std::string &args)
 {
     static int counter = 0;
+    // ctest runs each test in its own process, several at once: the
+    // pid keeps concurrent tests off each other's capture files.
     std::string outFile = ::testing::TempDir() + "/dsfuzz_cli_out." +
+                          std::to_string(::getpid()) + "." +
                           std::to_string(counter++);
     std::string cmd = std::string(DSFUZZ_BIN) + " " + args + " > " +
                       outFile + " 2>&1";
@@ -76,6 +80,28 @@ TEST(DsfuzzCli, BadFlagExitsTwo)
     CliResult res = runDsfuzz("--wibble");
     EXPECT_EQ(res.exitCode, 2) << res.output;
     EXPECT_NE(res.output.find("usage:"), std::string::npos);
+}
+
+TEST(DsfuzzCli, MalformedNumericFlagsExitTwo)
+{
+    // Junk, a sign, and trailing garbage must each be rejected with
+    // a message — never an uncaught exception (exit 134) or a silent
+    // wrap of -1 to a huge count.
+    for (const char *flag :
+         {"--runs", "--seed", "--time-budget", "--configs-per-trial",
+          "--ngram", "--model-nodes", "--model-lines",
+          "--model-episodes", "--model-depth"}) {
+        for (const char *value : {"abc", "-1", "1x"}) {
+            std::string arg = std::string(flag) + "=" + value;
+            CliResult res = runDsfuzz(arg);
+            EXPECT_EQ(res.exitCode, 2) << arg << "\n" << res.output;
+            EXPECT_NE(res.output.find("'" + arg + "'"),
+                      std::string::npos)
+                << res.output;
+            EXPECT_NE(res.output.find("usage:"), std::string::npos)
+                << res.output;
+        }
+    }
 }
 
 TEST(DsfuzzCli, UnknownMutationExitsTwo)

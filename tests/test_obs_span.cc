@@ -233,13 +233,12 @@ TEST(ProfileGroup, SchemaAndValues)
 // --- determinism contract -----------------------------------------
 
 driver::RunRequest
-timingRequest(unsigned tickThreads = 1)
+timingRequest()
 {
     driver::RunRequest req;
     req.workload = "go_s";
     req.system = driver::SystemKind::DataScalar;
     req.config.maxInsts = 2000;
-    req.config.tickThreads = tickThreads;
     req.flightRecorder = true;
     return req;
 }
@@ -379,6 +378,12 @@ checkPhaseSum(const std::string &json, const char *what)
     double slack = total * 0.05 + 200.0;
     EXPECT_NEAR(phase_sum, total, slack)
         << what << ": phases must contiguously partition the loop";
+    // Every system runs core::runLoop, so every system reports its
+    // four phases.
+    for (const char *phase :
+         {"phase_delivery_us", "phase_recovery_us", "phase_tick_us",
+          "phase_bookkeeping_us"})
+        EXPECT_NE(profile->find(phase), nullptr) << what << ": " << phase;
 }
 
 TEST(PhaseProfile, SerialPhasesSumToTotal)
@@ -388,38 +393,21 @@ TEST(PhaseProfile, SerialPhasesSumToTotal)
     req.config.maxInsts = 5000;
     driver::RunResponse resp = driver::runOne(req);
     ASSERT_TRUE(resp.ok()) << resp.error;
-    checkPhaseSum(resp.statsJson(), "serial datascalar");
-    // Serial loop phase names.
-    EXPECT_NE(resp.statsJson().find("phase_tick_us"),
-              std::string::npos);
-    EXPECT_NE(resp.statsJson().find("phase_delivery_us"),
-              std::string::npos);
-}
-
-TEST(PhaseProfile, ParallelPhasesSumToTotal)
-{
-    driver::RunRequest req = timingRequest(2);
-    req.profile = true;
-    req.config.maxInsts = 5000;
-    req.config.numNodes = 4;
-    driver::RunResponse resp = driver::runOne(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    checkPhaseSum(resp.statsJson(), "parallel datascalar");
-    EXPECT_NE(resp.statsJson().find("phase_barrier_us"),
-              std::string::npos);
-    EXPECT_NE(resp.statsJson().find("phase_setup_us"),
-              std::string::npos);
+    checkPhaseSum(resp.statsJson(), "datascalar");
 }
 
 TEST(PhaseProfile, BaselinePhasesSumToTotal)
 {
-    driver::RunRequest req = timingRequest();
-    req.system = driver::SystemKind::Traditional;
-    req.profile = true;
-    req.config.maxInsts = 5000;
-    driver::RunResponse resp = driver::runOne(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    checkPhaseSum(resp.statsJson(), "traditional baseline");
+    for (driver::SystemKind system : {driver::SystemKind::Traditional,
+                                      driver::SystemKind::Perfect}) {
+        driver::RunRequest req = timingRequest();
+        req.system = system;
+        req.profile = true;
+        req.config.maxInsts = 5000;
+        driver::RunResponse resp = driver::runOne(req);
+        ASSERT_TRUE(resp.ok()) << resp.error;
+        checkPhaseSum(resp.statsJson(), driver::systemKindName(system));
+    }
 }
 
 } // namespace

@@ -65,7 +65,6 @@ nonDefaultRequest()
     req.config.interconnect = core::InterconnectKind::Ring;
     req.config.maxInsts = 5000;
     req.config.eventDriven = false;
-    req.config.tickThreads = 2;
     req.config.fault.dropProb = 0.05;
     req.config.fault.dupProb = 0.25;
     req.config.fault.delayProb = 0.125;
@@ -102,7 +101,6 @@ TEST(RunRequestFormat, ParseIsExactInverse)
     EXPECT_EQ(parsed.config.interconnect, core::InterconnectKind::Ring);
     EXPECT_EQ(parsed.config.maxInsts, 5000u);
     EXPECT_FALSE(parsed.config.eventDriven);
-    EXPECT_EQ(parsed.config.tickThreads, 2u);
     EXPECT_EQ(parsed.config.fault.dropProb, 0.05);
     EXPECT_EQ(parsed.config.fault.maxDelay, 7u);
     EXPECT_EQ(parsed.config.rerequestTimeout, 1234u);
@@ -189,6 +187,14 @@ TEST(RunRequestParse, Errors)
     std::istringstream badprob("fault_drop = 1.5\n\n");
     EXPECT_FALSE(driver::parseRunRequest(badprob, req, error));
     EXPECT_NE(error.find("fault_drop"), std::string::npos) << error;
+
+    // Intra-simulation tick threads are gone; the key no longer
+    // parses rather than being silently ignored.
+    std::istringstream gone("workload = go_s\ntick_threads = 1\n\n");
+    EXPECT_FALSE(driver::parseRunRequest(gone, req, error));
+    EXPECT_NE(error.find("unknown key 'tick_threads'"),
+              std::string::npos)
+        << error;
 }
 
 TEST(RunRequestParse, KeyErrorLeavesRequestUnchanged)

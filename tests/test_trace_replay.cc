@@ -4,8 +4,7 @@
  * must report exactly what a fresh execution-driven run reports —
  * every system family, both event-driven modes, down to the full
  * stats dump. This is the contract that lets driver::TraceCache
- * substitute replay for execution everywhere (loopTicks is the one
- * diagnostic field excluded from equivalence; see core::RunResult).
+ * substitute replay for execution everywhere.
  */
 
 #include <gtest/gtest.h>

@@ -60,9 +60,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,6 +74,7 @@
 #include "check/oracle.hh"
 #include "check/program_gen.hh"
 #include "check/repro.hh"
+#include "common/kv.hh"
 
 using namespace dscalar;
 
@@ -132,6 +135,36 @@ parseFlag(const std::string &arg, const char *name, std::string &value)
         return false;
     value = arg.substr(prefix.size());
     return true;
+}
+
+/** Strict numeric flag value (common/kv): on a sign, junk, or a
+ *  value that does not fit, report @p arg and fail. */
+template <class T>
+bool
+parseNumber(const std::string &arg, const std::string &value, T &out)
+{
+    std::uint64_t v = 0;
+    if (common::kv::parseU64(value, v) &&
+        v <= std::numeric_limits<T>::max()) {
+        out = static_cast<T>(v);
+        return true;
+    }
+    std::fprintf(stderr, "dsfuzz: '%s' needs an unsigned integer\n",
+                 arg.c_str());
+    return false;
+}
+
+bool
+parseNumber(const std::string &arg, const std::string &value,
+            double &out)
+{
+    if (common::kv::parseF64(value, out) && std::isfinite(out) &&
+        out >= 0.0)
+        return true;
+    std::fprintf(stderr,
+                 "dsfuzz: '%s' needs a non-negative number\n",
+                 arg.c_str());
+    return false;
 }
 
 int
@@ -470,7 +503,6 @@ mutateConfig(check::TrialConfig c, Random &rng)
     c.system = driver::SystemKind::DataScalar;
     c.crossReplay = false;
     c.crossEventDriven = false;
-    c.crossTickThreads = false;
     c.traceDir.clear();
     switch (rng.below(8)) {
       case 0:
@@ -655,15 +687,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
+        bool ok = true;
         if (parseFlag(arg, "--runs", value))
-            opt.runs = std::stoull(value);
+            ok = parseNumber(arg, value, opt.runs);
         else if (parseFlag(arg, "--seed", value))
-            opt.seed = std::stoull(value);
+            ok = parseNumber(arg, value, opt.seed);
         else if (parseFlag(arg, "--time-budget", value))
-            opt.timeBudget = std::stod(value);
+            ok = parseNumber(arg, value, opt.timeBudget);
         else if (parseFlag(arg, "--configs-per-trial", value))
-            opt.configsPerTrial =
-                static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.configsPerTrial);
         else if (parseFlag(arg, "--repro", value))
             opt.reproIn = value;
         else if (parseFlag(arg, "--repro-out", value))
@@ -683,7 +715,7 @@ main(int argc, char **argv)
                 return usage();
         }
         else if (parseFlag(arg, "--ngram", value))
-            opt.ngram = static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.ngram);
         else if (parseFlag(arg, "--mutate", value)) {
             if (!core::parseProtocolMutation(value, opt.mutation)) {
                 std::fprintf(stderr,
@@ -695,19 +727,20 @@ main(int argc, char **argv)
         else if (arg == "--model")
             opt.model = true;
         else if (parseFlag(arg, "--model-nodes", value))
-            opt.modelNodes = static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.modelNodes);
         else if (parseFlag(arg, "--model-lines", value))
-            opt.modelLines = static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.modelLines);
         else if (parseFlag(arg, "--model-episodes", value))
-            opt.modelEpisodes =
-                static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.modelEpisodes);
         else if (arg == "--model-faults")
             opt.modelFaults = true;
         else if (parseFlag(arg, "--model-depth", value))
-            opt.modelDepth = static_cast<unsigned>(std::stoul(value));
+            ok = parseNumber(arg, value, opt.modelDepth);
         else if (arg == "--quiet")
             opt.quiet = true;
         else
+            return usage();
+        if (!ok)
             return usage();
     }
     if (opt.ngram < 1 || opt.ngram > 8) {
