@@ -73,16 +73,21 @@ main()
     // its only option is one node plus idle silicon; DataScalar uses
     // all nodes' memory to speed the single thread.
     std::printf("\nserial (unparallelizable) code -- compress:\n");
-    prog::Program comp = workloads::findWorkload("compress_s").build(1);
+    auto comp = std::make_shared<const prog::Program>(
+        workloads::findWorkload("compress_s").build(1));
     cfg.maxInsts = budget;
-    baseline::SpmdResult one = baseline::runSpmd({comp}, cfg);
+    baseline::SpmdResult one = baseline::runSpmd({*comp}, cfg);
     // The single SPMD node only has 1/N of the machine's memory;
     // the honest comparison is against the traditional system with
     // 1/4 on-chip.
-    core::SimConfig q = cfg;
-    q.numNodes = 4;
-    core::RunResult trad = driver::runTraditional(comp, q);
-    core::RunResult ds = driver::runDataScalar(comp, q);
+    driver::RunRequest req;
+    req.program = comp;
+    req.config = cfg;
+    req.config.numNodes = 4;
+    req.system = driver::SystemKind::Traditional;
+    core::RunResult trad = driver::runOne(req).result;
+    req.system = driver::SystemKind::DataScalar;
+    core::RunResult ds = driver::runOne(req).result;
     std::printf("  all-memory-local single node (upper bound): "
                 "%llu cycles\n",
                 (unsigned long long)one.cycles);

@@ -31,7 +31,8 @@ main()
 
     for (const char *name : {"li_s", "go_s", "compress_s"}) {
         prog::Program p = workloads::findWorkload(name).build(1);
-        core::PageHeat heat = driver::profilePages(p, budget);
+        core::PageHeat heat =
+            driver::profilePages(*func::InstTrace::capture(p, budget));
         std::size_t data_pages =
             p.touchedPages().size() -
             p.pagesInSegment(prog::Segment::Text);

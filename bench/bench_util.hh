@@ -10,25 +10,43 @@
 #ifndef DSCALAR_BENCH_BENCH_UTIL_HH
 #define DSCALAR_BENCH_BENCH_UTIL_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/kv.hh"
 #include "common/types.hh"
 
 namespace dscalar {
 namespace bench {
 
+/** Positive integer from environment variable @p name, or
+ *  @p fallback when it is unset. Anything else — junk, a sign, zero,
+ *  an overflow — prints a message and exits 2. */
+inline unsigned
+envCount(const char *name, unsigned fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    std::uint64_t v = 0;
+    if (!common::kv::parseU64(env, v) || v == 0 ||
+        v > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "%s: expected a positive integer, got '%s'\n",
+                     name, env);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(v);
+}
+
 /** Budget multiplier from the BENCH_SCALE environment variable. */
 inline unsigned
 benchScale()
 {
-    const char *env = std::getenv("BENCH_SCALE");
-    if (!env)
-        return 1;
-    long v = std::atol(env);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
+    return envCount("BENCH_SCALE", 1);
 }
 
 /** Default per-run dynamic-instruction budget. */
@@ -47,13 +65,8 @@ defaultBudget(InstSeq base)
 inline unsigned
 benchJobs()
 {
-    const char *env = std::getenv("BENCH_JOBS");
-    if (env) {
-        long v = std::atol(env);
-        return v >= 1 ? static_cast<unsigned>(v) : 1;
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return envCount("BENCH_JOBS", hw ? hw : 1);
 }
 
 /** Banner naming the experiment and its provenance in the paper. */

@@ -9,9 +9,8 @@
  * skipping disabled, so the win from fast-forwarding idle cycles is
  * visible directly (reported cycle counts are identical either way;
  * tests/test_cycle_skip.cc proves it). BM_SweepSerial/Parallel time
- * the Figure 7 sweep at 1 vs benchJobs() workers; their *NoReuse
- * twins disable the shared trace capture (driver::TraceCache), so
- * the win from executing each workload once is visible directly.
+ * the Figure 7 sweep (one shared capture per workload through
+ * driver::TraceCache) at 1 vs benchJobs() workers.
  * BM_TraceCaptureCold/BM_TraceLoadDisk time a functional trace
  * capture against mmap-loading the same trace back from the
  * persistent store (docs/PERF.md "Persistent trace store").
@@ -56,11 +55,11 @@ compressProgram()
  *  asynchronous ESP creates by design and the regime the
  *  event-driven skip targets. Busy low-stall workloads (compress,
  *  IPC ~1.2) are covered by the sweep benchmarks below. */
-const prog::Program &
+std::shared_ptr<const prog::Program>
 timingProgram()
 {
-    static prog::Program p =
-        workloads::findWorkload("turb3d_s").build(1);
+    static auto p = std::make_shared<const prog::Program>(
+        workloads::findWorkload("turb3d_s").build(1));
     return p;
 }
 
@@ -88,8 +87,7 @@ BM_FunctionalSim(benchmark::State &state)
  *  spot-reads each chunk's borrowed columns on top. Per-record
  *  decode happens during replay either way, so it belongs to
  *  neither side. The ratio is the warm-restart win the store
- *  exists for; bytes_per_record tracks the on-disk cost of the raw
- *  ({insts, 0}) and delta-compressed ({insts, 1}) layouts. */
+ *  exists for; bytes_per_record tracks the on-disk cost. */
 std::string
 benchTracePath(const char *tag)
 {
@@ -126,15 +124,11 @@ BM_TraceLoadDisk(benchmark::State &state)
 {
     const prog::Program &p = compressProgram();
     InstSeq budget = static_cast<InstSeq>(state.range(0));
-    func::TraceSaveOptions save;
-    save.compressed = state.range(1) != 0;
-
-    std::string path =
-        benchTracePath(save.compressed ? "z" : "raw");
+    std::string path = benchTracePath("raw");
     auto captured = func::InstTrace::capture(p, budget);
     std::string err;
     if (!func::saveTraceFile(path, *captured, "bench",
-                             p.imageDigest(), err, save)) {
+                             p.imageDigest(), err)) {
         state.SkipWithError(err.c_str());
         return;
     }
@@ -167,68 +161,58 @@ BM_TraceLoadDisk(benchmark::State &state)
         static_cast<std::int64_t>(budget));
 }
 
+/** One live (execution-driven) timing run of timingProgram() on
+ *  @p system per iteration; args {insts, skip} for Perfect, else
+ *  {insts, nodes, skip}. */
 void
-BM_PerfectTiming(benchmark::State &state)
+timingBody(benchmark::State &state, driver::SystemKind system)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.eventDriven = state.range(1) != 0;
+    driver::RunRequest req;
+    req.program = timingProgram();
+    req.system = system;
+    req.config.maxInsts = static_cast<InstSeq>(state.range(0));
+    if (system == driver::SystemKind::Perfect) {
+        req.config.eventDriven = state.range(1) != 0;
+    } else {
+        req.config.numNodes = static_cast<unsigned>(state.range(1));
+        req.config.eventDriven = state.range(2) != 0;
+    }
     for (auto _ : state) {
-        auto r = driver::runPerfect(p, cfg);
+        auto r = driver::runOne(req).result;
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         state.range(0));
+}
+
+void
+BM_PerfectTiming(benchmark::State &state)
+{
+    timingBody(state, driver::SystemKind::Perfect);
 }
 
 void
 BM_DataScalarTiming(benchmark::State &state)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.numNodes = static_cast<unsigned>(state.range(1));
-    cfg.eventDriven = state.range(2) != 0;
-    for (auto _ : state) {
-        auto r = driver::runDataScalar(p, cfg);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
+    timingBody(state, driver::SystemKind::DataScalar);
 }
 
 void
 BM_TraditionalTiming(benchmark::State &state)
 {
-    const prog::Program &p = timingProgram();
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = static_cast<InstSeq>(state.range(0));
-    cfg.numNodes = static_cast<unsigned>(state.range(1));
-    cfg.eventDriven = state.range(2) != 0;
-    for (auto _ : state) {
-        auto r = driver::runTraditional(p, cfg);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
+    timingBody(state, driver::SystemKind::Traditional);
 }
 
 /** The Figure 7 sweep (2 workloads to keep runtime sane) at a given
- *  worker count; items = simulated instructions across all points.
- *  @p reuse toggles the shared-trace capture (the *NoReuse twins
- *  re-execute every point functionally — identical table, slower). */
+ *  worker count; items = simulated instructions across all points. */
 void
-sweepBody(benchmark::State &state, unsigned jobs, bool reuse = true)
+sweepBody(benchmark::State &state, unsigned jobs)
 {
     const std::vector<std::string> names{"compress_s", "go_s"};
     InstSeq budget = static_cast<InstSeq>(state.range(0));
     for (auto _ : state) {
-        stats::Table t =
-            driver::fig7IpcTable(names, budget, jobs, true, reuse);
+        stats::Table t = driver::fig7IpcTable(names, budget, jobs);
         benchmark::DoNotOptimize(t);
     }
     state.SetItemsProcessed(
@@ -244,12 +228,6 @@ BM_SweepSerial(benchmark::State &state)
 }
 
 void
-BM_SweepSerialNoReuse(benchmark::State &state)
-{
-    sweepBody(state, 1, false);
-}
-
-void
 BM_SweepParallel(benchmark::State &state)
 {
     // At least two workers so the pool path is always exercised and
@@ -260,20 +238,9 @@ BM_SweepParallel(benchmark::State &state)
     sweepBody(state, jobs);
 }
 
-void
-BM_SweepParallelNoReuse(benchmark::State &state)
-{
-    unsigned jobs = std::max(2u, bench::benchJobs());
-    state.counters["jobs"] = jobs;
-    sweepBody(state, jobs, false);
-}
-
 BENCHMARK(BM_FunctionalSim)->Arg(100000);
 BENCHMARK(BM_TraceCaptureCold)->Arg(100000);
-// {insts, compressed}
-BENCHMARK(BM_TraceLoadDisk)
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_TraceLoadDisk)->Arg(100000);
 // {insts, skip} / {insts, nodes, skip}
 BENCHMARK(BM_PerfectTiming)->Args({30000, 1})->Args({30000, 0});
 BENCHMARK(BM_DataScalarTiming)
@@ -287,17 +254,10 @@ BENCHMARK(BM_TraditionalTiming)
     ->Args({30000, 4, 1})
     ->Args({30000, 4, 0});
 BENCHMARK(BM_SweepSerial)->Arg(15000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepSerialNoReuse)
-    ->Arg(15000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepParallel)
     ->Arg(15000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime(); // workers run off-thread; CPU time misleads
-BENCHMARK(BM_SweepParallelNoReuse)
-    ->Arg(15000)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // Smoke tier: one fixed iteration per engine at a tiny budget, for
 // the perf-smoke ctest label. Kept separate so the full benchmarks
@@ -347,7 +307,7 @@ BENCHMARK(BM_SmokeDataScalar)
 BENCHMARK(BM_SmokeTraditional)->Args({2000, 2, 1})->Iterations(1);
 BENCHMARK(BM_SmokeSweepParallel)->Arg(2000)->Iterations(1);
 BENCHMARK(BM_SmokeTraceCapture)->Arg(5000)->Iterations(1);
-BENCHMARK(BM_SmokeTraceLoad)->Args({5000, 1})->Iterations(1);
+BENCHMARK(BM_SmokeTraceLoad)->Arg(5000)->Iterations(1);
 
 /**
  * Console reporter that also checks every run for forward progress:

@@ -92,15 +92,19 @@ makeSpmv()
 int
 main()
 {
-    prog::Program p = makeSpmv();
+    auto p = std::make_shared<const prog::Program>(makeSpmv());
     constexpr InstSeq budget = 200'000;
 
     std::printf("custom workload: %s "
                 "(banded SpMV, %zu pages)\n\n",
-                p.name.c_str(), p.touchedPages().size());
+                p->name.c_str(), p->touchedPages().size());
+
+    // Execute the program once; every study below replays the
+    // captured dynamic stream (SPSD: each would see the same one).
+    auto trace = func::InstTrace::capture(*p, budget);
 
     // 1. Table 1 methodology: how much traffic would ESP remove?
-    driver::TrafficResult t = driver::measureEspTraffic(p, budget);
+    driver::TrafficResult t = driver::measureEspTraffic(*trace);
     std::printf("ESP traffic study: %.0f%% of bytes, %.0f%% of "
                 "transactions eliminated\n",
                 t.bytesEliminated() * 100.0,
@@ -112,23 +116,28 @@ main()
     dist.blockPages = 4;
     core::ReplicationReport rep;
     mem::PageTable ptable =
-        core::buildPageTable(p, dist, nullptr, &rep);
+        core::buildPageTable(*p, dist, nullptr, &rep);
     driver::DatathreadResult d =
-        driver::measureDatathreads(p, ptable, rep, budget);
+        driver::measureDatathreads(*trace, ptable, rep);
     std::printf("datathreads (4 nodes, 4-page blocks): "
                 "all %.1f, data %.1f\n\n",
                 d.meanAll, d.meanData);
 
     // 3. Figure 7 methodology: the five systems.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = budget;
-    auto perfect = driver::runPerfect(p, cfg);
-    cfg.numNodes = 2;
-    auto ds2 = driver::runDataScalar(p, cfg);
-    auto t2 = driver::runTraditional(p, cfg);
-    cfg.numNodes = 4;
-    auto ds4 = driver::runDataScalar(p, cfg);
-    auto t4 = driver::runTraditional(p, cfg);
+    driver::RunRequest req;
+    req.program = p;
+    req.trace = trace;
+    req.config.maxInsts = budget;
+    req.system = driver::SystemKind::Perfect;
+    auto perfect = driver::runOne(req).result;
+    req.system = driver::SystemKind::DataScalar;
+    auto ds2 = driver::runOne(req).result;
+    req.system = driver::SystemKind::Traditional;
+    auto t2 = driver::runOne(req).result;
+    req.config.numNodes = 4;
+    auto t4 = driver::runOne(req).result;
+    req.system = driver::SystemKind::DataScalar;
+    auto ds4 = driver::runOne(req).result;
 
     std::printf("%-26s %8s\n", "system", "IPC");
     std::printf("%-26s %8.3f\n", "perfect data cache", perfect.ipc);

@@ -13,8 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 
+#include "common/kv.hh"
 #include "driver/driver.hh"
 #include "prog/assembler.hh"
 
@@ -81,21 +82,27 @@ makeChain(unsigned run)
 int
 main(int argc, char **argv)
 {
-    unsigned run = argc > 1 ? std::atoi(argv[1]) : 0;
+    std::uint64_t run = 0;
+    if (argc > 1 && !common::kv::parseU64(argv[1], run)) {
+        std::fprintf(stderr, "usage: pointer_chase [cells-per-page-run]\n");
+        return 2;
+    }
 
     std::printf("datathread-length sweep: cycles per pointer hop\n");
     std::printf("%-18s %12s %12s %12s\n", "cells-per-page-run",
                 "DataScalar-4", "traditional", "DS advantage");
 
     std::vector<unsigned> runs =
-        run ? std::vector<unsigned>{run}
+        run ? std::vector<unsigned>{static_cast<unsigned>(run)}
             : std::vector<unsigned>{1, 4, 16, 64, 256};
     for (unsigned r : runs) {
-        prog::Program p = makeChain(r);
-        core::SimConfig cfg = driver::paperConfig();
-        cfg.numNodes = 4;
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
+        driver::RunRequest req;
+        req.program = std::make_shared<const prog::Program>(makeChain(r));
+        req.config.numNodes = 4;
+        req.system = driver::SystemKind::DataScalar;
+        core::RunResult ds = driver::runOne(req).result;
+        req.system = driver::SystemKind::Traditional;
+        core::RunResult trad = driver::runOne(req).result;
         double hops = static_cast<double>(ds.instructions) / 3.0;
         double ds_cyc = ds.cycles / hops;
         double trad_cyc = trad.cycles / hops;

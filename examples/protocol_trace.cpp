@@ -8,11 +8,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 
 #include "core/datascalar.hh"
+#include "common/kv.hh"
 #include "driver/driver.hh"
 #include "prog/assembler.hh"
 
@@ -53,7 +54,11 @@ tinyKernel()
 int
 main(int argc, char **argv)
 {
-    unsigned max_events = argc > 1 ? std::atoi(argv[1]) : 24;
+    std::uint64_t max_events = 24;
+    if (argc > 1 && !common::kv::parseU64(argv[1], max_events)) {
+        std::fprintf(stderr, "usage: protocol_trace [max-events]\n");
+        return 2;
+    }
 
     prog::Program p = tinyKernel();
     core::SimConfig cfg = driver::paperConfig();
@@ -66,10 +71,11 @@ main(int argc, char **argv)
     sys.setTraceSink(&sink);
     sys.run();
 
-    std::printf("first %u protocol events:\n", max_events);
+    std::printf("first %llu protocol events:\n",
+                (unsigned long long)max_events);
     std::istringstream lines(trace.str());
     std::string line;
-    for (unsigned i = 0; i < max_events && std::getline(lines, line);
+    for (std::uint64_t i = 0; i < max_events && std::getline(lines, line);
          ++i) {
         std::printf("  %s\n", line.c_str());
     }

@@ -68,22 +68,25 @@ makeProgram()
 int
 main()
 {
-    prog::Program program = makeProgram();
+    auto program = std::make_shared<const prog::Program>(makeProgram());
 
     // 1. Functional run: the architectural reference.
-    func::FuncSim ref(program);
+    func::FuncSim ref(*program);
     ref.run();
     std::printf("functional output: %s", ref.output().c_str());
     std::printf("instructions: %llu\n\n",
                 (unsigned long long)ref.retired());
 
-    // 2. Timing runs with the paper's configuration.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-
-    core::RunResult perfect = driver::runPerfect(program, cfg);
-    core::RunResult ds = driver::runDataScalar(program, cfg);
-    core::RunResult trad = driver::runTraditional(program, cfg);
+    // 2. Timing runs with the paper's configuration (the default
+    //    RunRequest config, two nodes).
+    driver::RunRequest req;
+    req.program = program;
+    req.system = driver::SystemKind::Perfect;
+    core::RunResult perfect = driver::runOne(req).result;
+    req.system = driver::SystemKind::DataScalar;
+    core::RunResult ds = driver::runOne(req).result;
+    req.system = driver::SystemKind::Traditional;
+    core::RunResult trad = driver::runOne(req).result;
 
     std::printf("%-28s %10s %8s\n", "system", "cycles", "IPC");
     std::printf("%-28s %10llu %8.3f\n", "perfect data cache",

@@ -9,9 +9,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
+#include "common/kv.hh"
 #include "driver/driver.hh"
 #include "stats/table.hh"
 #include "workloads/workloads.hh"
@@ -29,9 +30,11 @@ main(int argc, char **argv)
         t.print(std::cout);
         return 0;
     }
-    InstSeq budget =
-        argc > 2 ? static_cast<InstSeq>(std::atoll(argv[2]))
-                 : 1'000'000;
+    std::uint64_t budget = 1'000'000;
+    if (argc > 2 && !common::kv::parseU64(argv[2], budget)) {
+        std::fprintf(stderr, "usage: traffic_study [workload] [max_insts]\n");
+        return 2;
+    }
 
     const auto &w = workloads::findWorkload(name);
     prog::Program p = w.build(1);
@@ -39,7 +42,8 @@ main(int argc, char **argv)
                 p.name.c_str(), w.spec);
     std::printf("  %s\n\n", w.desc);
 
-    driver::TrafficResult t = driver::measureEspTraffic(p, budget);
+    driver::TrafficResult t =
+        driver::measureEspTraffic(*func::InstTrace::capture(p, budget));
 
     std::printf("off-chip traffic through a 64KB/2-way/32B "
                 "write-back cache:\n");

@@ -1,7 +1,5 @@
 #include "driver/driver.hh"
 
-#include "common/logging.hh"
-#include "func/func_sim.hh"
 #include "mem/cache.hh"
 
 namespace dscalar {
@@ -14,20 +12,6 @@ mem::CacheParams
 table1CacheParams()
 {
     return mem::CacheParams{64 * 1024, 2, 32, true};
-}
-
-core::PageHeat
-profilePages(const prog::Program &program, InstSeq max_insts)
-{
-    func::FuncSim sim(program);
-    core::PageHeat heat;
-    sim.setMemHook([&heat](Addr addr, unsigned, bool) {
-        ++heat[prog::pageBase(addr)];
-    });
-    sim.setFetchHook(
-        [&heat](Addr pc) { ++heat[prog::pageBase(pc)]; });
-    sim.run(max_insts ? max_insts : ~static_cast<InstSeq>(0));
-    return heat;
 }
 
 core::PageHeat
@@ -67,8 +51,7 @@ TrafficResult::transactionsEliminated() const
 
 namespace {
 
-/** The Table 1 memHook body, shared by the functional-run and
- *  trace-pass overloads so both decompose traffic identically. */
+/** The Table 1 per-access traffic accounting. */
 class TrafficAccumulator
 {
   public:
@@ -108,19 +91,6 @@ class TrafficAccumulator
 };
 
 } // namespace
-
-TrafficResult
-measureEspTraffic(const prog::Program &program, InstSeq max_insts,
-                  const mem::CacheParams &dcache_params)
-{
-    func::FuncSim sim(program);
-    TrafficAccumulator acc(dcache_params);
-    sim.setMemHook([&acc](Addr addr, unsigned, bool is_write) {
-        acc.access(addr, is_write);
-    });
-    sim.run(max_insts ? max_insts : ~static_cast<InstSeq>(0));
-    return acc.result;
-}
 
 TrafficResult
 measureEspTraffic(const func::InstTrace &trace,
@@ -167,10 +137,8 @@ RunCounter::mean() const
 namespace {
 
 /**
- * The Table 2 hook bodies, shared by the functional-run and
- * trace-pass overloads. Order-sensitive: each instruction's fetch is
- * classified before its data access, exactly as FuncSim fires its
- * hooks, so both overloads walk the miss stream identically.
+ * The Table 2 miss-stream classifier. Order-sensitive: each
+ * instruction's fetch is classified before its data access.
  */
 class DatathreadAccumulator
 {
@@ -260,24 +228,6 @@ class DatathreadAccumulator
 } // namespace
 
 DatathreadResult
-measureDatathreads(const prog::Program &program,
-                   const mem::PageTable &ptable,
-                   const core::ReplicationReport &rep,
-                   InstSeq max_insts)
-{
-    func::FuncSim sim(program);
-    DatathreadAccumulator acc(ptable);
-
-    sim.setMemHook([&acc](Addr addr, unsigned, bool is_write) {
-        acc.data(addr, is_write);
-    });
-    sim.setFetchHook([&acc](Addr pc) { acc.fetch(pc); });
-
-    sim.run(max_insts ? max_insts : ~static_cast<InstSeq>(0));
-    return acc.finish(rep);
-}
-
-DatathreadResult
 measureDatathreads(const func::InstTrace &trace,
                    const mem::PageTable &ptable,
                    const core::ReplicationReport &rep)
@@ -293,7 +243,7 @@ measureDatathreads(const func::InstTrace &trace,
 }
 
 // -------------------------------------------------------------------
-// Timing-run conveniences
+// Figure 7
 // -------------------------------------------------------------------
 
 mem::PageTable
@@ -308,109 +258,9 @@ figure7PageTable(const prog::Program &program, unsigned num_nodes,
     return core::buildPageTable(program, dist);
 }
 
-core::RunResult
-runSystem(SystemKind system, const prog::Program &program,
-          const core::SimConfig &config, unsigned block_pages,
-          std::shared_ptr<const func::InstTrace> trace,
-          obs::Sampler *sampler)
-{
-    RunRequest req;
-    req.system = system;
-    req.config = config;
-    req.blockPages = block_pages;
-    // Non-owning alias: the caller's program outlives the run.
-    req.program = std::shared_ptr<const prog::Program>(
-        std::shared_ptr<const prog::Program>(), &program);
-    req.trace = std::move(trace);
-    req.sampler = sampler;
-    return runOne(req).result;
-}
-
-core::RunResult
-runDataScalar(const prog::Program &program,
-              const core::SimConfig &config)
-{
-    return runSystem(SystemKind::DataScalar, program, config);
-}
-
-core::RunResult
-runTraditional(const prog::Program &program,
-               const core::SimConfig &config)
-{
-    return runSystem(SystemKind::Traditional, program, config);
-}
-
-core::RunResult
-runPerfect(const prog::Program &program, const core::SimConfig &config)
-{
-    return runSystem(SystemKind::Perfect, program, config);
-}
-
-// -------------------------------------------------------------------
-// Parallel experiment sweeps
-// -------------------------------------------------------------------
-
-RunRequest
-toRunRequest(const SweepPoint &pt)
-{
-    RunRequest req;
-    req.workload = pt.workload;
-    req.scale = pt.scale;
-    req.system = pt.system;
-    req.config = pt.config;
-    req.blockPages = pt.blockPages;
-    return req;
-}
-
-namespace {
-
-std::vector<RunRequest>
-toRunRequests(const std::vector<SweepPoint> &points)
-{
-    std::vector<RunRequest> requests;
-    requests.reserve(points.size());
-    for (const SweepPoint &pt : points)
-        requests.push_back(toRunRequest(pt));
-    return requests;
-}
-
-std::vector<core::RunResult>
-toRunResults(std::vector<RunResponse> responses)
-{
-    std::vector<core::RunResult> results;
-    results.reserve(responses.size());
-    for (RunResponse &resp : responses) {
-        if (!resp.ok())
-            fatal("sweep point failed: %s", resp.error.c_str());
-        results.push_back(std::move(resp.result));
-    }
-    return results;
-}
-
-} // namespace
-
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
-         unsigned jobs)
-{
-    return toRunResults(runMany(toRunRequests(points), cache, jobs));
-}
-
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
-         bool reuse_traces)
-{
-    if (reuse_traces) {
-        TraceCache cache;
-        return runSweep(points, cache, jobs);
-    }
-    return toRunResults(runMany(toRunRequests(points), jobs));
-}
-
 stats::Table
 fig7IpcTable(const std::vector<std::string> &workload_names,
-             InstSeq budget, unsigned jobs, bool event_driven,
-             bool trace_reuse)
+             InstSeq budget, unsigned jobs, bool event_driven)
 {
     std::vector<RunRequest> requests;
     for (const std::string &name : workload_names) {
@@ -430,13 +280,8 @@ fig7IpcTable(const std::vector<std::string> &workload_names,
         add(SystemKind::Traditional, 4);
     }
 
-    std::vector<RunResponse> responses;
-    if (trace_reuse) {
-        TraceCache cache;
-        responses = runMany(requests, cache, jobs);
-    } else {
-        responses = runMany(requests, jobs);
-    }
+    TraceCache cache;
+    std::vector<RunResponse> responses = runMany(requests, cache, jobs);
 
     stats::Table table({"benchmark", "perfect", "DS-2", "DS-4",
                         "trad-1/2", "trad-1/4", "DS2/trad2",

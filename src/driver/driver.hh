@@ -1,10 +1,11 @@
 /**
  * @file
  * Experiment driver: shared machinery for the bench binaries,
- * examples, and integration tests — the paper's default
- * configuration, page-heat profiling, the Table 1 ESP traffic study,
- * the Table 2 datathread-length study, and one-call timing runs of
- * each system.
+ * examples, and integration tests — page-heat profiling, the Table 1
+ * ESP traffic study and the Table 2 datathread-length study (each a
+ * single pass over a captured func::InstTrace), the Figure 7 page
+ * distribution, and the Figure 7 IPC matrix. Timing runs go through
+ * RunRequest + runOne/runMany (driver/run_request.hh).
  */
 
 #ifndef DSCALAR_DRIVER_DRIVER_HH
@@ -37,16 +38,8 @@ namespace driver {
  *  write-allocate write-back. */
 mem::CacheParams table1CacheParams();
 
-/**
- * Profile per-page access counts (instruction and data) with a
- * functional run, for hot-page replication decisions.
- */
-core::PageHeat profilePages(const prog::Program &program,
-                            InstSeq max_insts = 0);
-
-/** Rederive the same page heat from a captured trace in one pass,
- *  without re-executing the program. Identical counts to the
- *  functional-run overload over the same prefix. */
+/** Per-page access counts (instruction and data) of a captured
+ *  trace, for hot-page replication decisions. */
 core::PageHeat profilePages(const func::InstTrace &trace);
 
 // -------------------------------------------------------------------
@@ -80,17 +73,10 @@ struct TrafficResult
 };
 
 /**
- * Run @p program through an in-order simulation with the Table 1
- * cache (64 KB 2-way write-allocate write-back by default) and
+ * Replay @p trace's data accesses through an in-order cache (64 KB
+ * 2-way write-allocate write-back by default, the Table 1 cache) and
  * decompose the resulting off-chip traffic.
  */
-TrafficResult measureEspTraffic(const prog::Program &program,
-                                InstSeq max_insts = 0,
-                                const mem::CacheParams &dcache =
-                                    table1CacheParams());
-
-/** Same decomposition from a captured trace, one pass, no
- *  re-execution. Byte-identical to the functional-run overload. */
 TrafficResult measureEspTraffic(const func::InstTrace &trace,
                                 const mem::CacheParams &dcache =
                                     table1CacheParams());
@@ -129,23 +115,16 @@ struct DatathreadResult
 };
 
 /**
- * Measure datathread lengths for @p program under the placement in
+ * Measure datathread lengths of @p trace under the placement in
  * @p ptable: cache-filtered miss streams (paper Section 3.2 cache:
  * 64 KB two-way) attributed to owning nodes.
  */
-DatathreadResult measureDatathreads(const prog::Program &program,
-                                    const mem::PageTable &ptable,
-                                    const core::ReplicationReport &rep,
-                                    InstSeq max_insts = 0);
-
-/** Same study from a captured trace, one pass, no re-execution.
- *  Byte-identical to the functional-run overload. */
 DatathreadResult measureDatathreads(const func::InstTrace &trace,
                                     const mem::PageTable &ptable,
                                     const core::ReplicationReport &rep);
 
 // -------------------------------------------------------------------
-// Timing-run conveniences
+// Figure 7
 // -------------------------------------------------------------------
 
 /** Distribute pages for an N-node run (no static data replication,
@@ -153,83 +132,6 @@ DatathreadResult measureDatathreads(const func::InstTrace &trace,
 mem::PageTable figure7PageTable(const prog::Program &program,
                                 unsigned num_nodes,
                                 unsigned block_pages = 1);
-
-/**
- * Run @p program on one system family under @p config — a thin
- * wrapper over runOne for callers that already hold a built program.
- * @p block_pages sets the page-distribution block size (ignored by
- * Perfect, which has no page table). The returned RunResult carries
- * the full stat snapshot (RunResult::stats). A non-null @p sampler
- * is registered with the system (setSampler) and collects its
- * timeline during the run without perturbing it.
- */
-core::RunResult runSystem(SystemKind system,
-                          const prog::Program &program,
-                          const core::SimConfig &config,
-                          unsigned block_pages = 1,
-                          std::shared_ptr<const func::InstTrace> trace =
-                              nullptr,
-                          obs::Sampler *sampler = nullptr);
-
-/** Run an N-node DataScalar system; returns IPC and cycles. */
-core::RunResult runDataScalar(const prog::Program &program,
-                              const core::SimConfig &config);
-
-/** Run the traditional system with 1/numNodes memory on-chip. */
-core::RunResult runTraditional(const prog::Program &program,
-                               const core::SimConfig &config);
-
-/** Run the perfect-data-cache system. */
-core::RunResult runPerfect(const prog::Program &program,
-                           const core::SimConfig &config);
-
-// -------------------------------------------------------------------
-// Parallel experiment sweeps
-// -------------------------------------------------------------------
-
-/**
- * One independent timing-simulation point of a sweep: a registered
- * workload run on one system under one configuration. Points share
- * nothing, so a sweep is embarrassingly parallel.
- */
-struct SweepPoint
-{
-    std::string workload; ///< registered workload name
-    SystemKind system = SystemKind::DataScalar;
-    core::SimConfig config;
-    unsigned scale = 1;      ///< workload build scale
-    unsigned blockPages = 1; ///< page-distribution block size
-};
-
-/** The RunRequest equivalent of @p pt (runSweep is runMany over
- *  these). */
-RunRequest toRunRequest(const SweepPoint &pt);
-
-/**
- * Run every point on up to @p jobs worker threads (1 = serial,
- * 0 = hardware concurrency). Results come back in point order
- * regardless of scheduling, so a parallel sweep is byte-identical
- * to a serial one.
- *
- * With @p reuse_traces (the default), each distinct
- * (workload, scale, maxInsts) is built and functionally executed
- * once into a shared trace that every matching point replays; the
- * SPSD property makes every reported number byte-identical to
- * per-point execution, only faster. Pass false to re-execute per
- * point (the pre-cache behavior).
- */
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, unsigned jobs = 1,
-         bool reuse_traces = true);
-
-/**
- * As above, but captures into (and reuses traces already in) a
- * caller-owned @p cache, letting several sweeps over the same
- * workloads share one set of captures.
- */
-std::vector<core::RunResult>
-runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
-         unsigned jobs = 1);
 
 /**
  * The Figure 7 sweep — perfect, DataScalar at 2/4 nodes, and the
@@ -242,7 +144,7 @@ runSweep(const std::vector<SweepPoint> &points, TraceCache &cache,
 stats::Table
 fig7IpcTable(const std::vector<std::string> &workload_names,
              InstSeq budget, unsigned jobs = 1,
-             bool event_driven = true, bool trace_reuse = true);
+             bool event_driven = true);
 
 } // namespace driver
 } // namespace dscalar

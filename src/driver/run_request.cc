@@ -63,16 +63,6 @@ parseSystemKind(const std::string &name)
     return std::nullopt;
 }
 
-bool
-parseSystemKind(const std::string &name, SystemKind &out)
-{
-    std::optional<SystemKind> kind = parseSystemKind(name);
-    if (!kind)
-        return false;
-    out = *kind;
-    return true;
-}
-
 const char *
 interconnectKindName(core::InterconnectKind kind)
 {
@@ -91,18 +81,6 @@ parseInterconnectKind(const std::string &name)
     if (name == "ring")
         return core::InterconnectKind::Ring;
     return std::nullopt;
-}
-
-bool
-parseInterconnectKind(const std::string &name,
-                      core::InterconnectKind &out)
-{
-    std::optional<core::InterconnectKind> kind =
-        parseInterconnectKind(name);
-    if (!kind)
-        return false;
-    out = *kind;
-    return true;
 }
 
 // -------------------------------------------------------------------
@@ -176,8 +154,8 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
             key == "block_pages" || key == "event_driven" ||
             key == "fault_max_delay" || key == "fault_seed" ||
             key == "rerequest_timeout" || key == "bshr_hard" ||
-            key == "bshr_capacity" || key == "trace_reuse" ||
-            key == "sample_interval" || key == "profile")
+            key == "bshr_capacity" || key == "sample_interval" ||
+            key == "profile")
             return bad("an unsigned integer");
         error = "unknown key '" + key + "'";
         return false;
@@ -212,9 +190,7 @@ applyRunRequestKey(RunRequest &req, const std::string &key,
         if (v == 0)
             return bad("a positive entry count");
         req.config.bshrCapacity = u();
-    } else if (key == "trace_reuse")
-        req.traceReuse = v != 0;
-    else if (key == "sample_interval")
+    } else if (key == "sample_interval")
         req.sampleInterval = v;
     else if (key == "profile")
         req.profile = v != 0;
@@ -299,7 +275,6 @@ formatRunRequest(const RunRequest &req)
              std::uint64_t(req.config.bshrHardCapacity ? 1 : 0));
     kv::emit(os, "bshr_capacity",
              std::uint64_t(req.config.bshrCapacity));
-    kv::emit(os, "trace_reuse", std::uint64_t(req.traceReuse ? 1 : 0));
     kv::emit(os, "sample_interval", std::uint64_t(req.sampleInterval));
     if (req.profile)
         kv::emit(os, "profile", std::uint64_t(1));
@@ -465,7 +440,7 @@ runOne(const RunRequest &req, TraceCache *cache)
     }
 
     std::shared_ptr<const func::InstTrace> trace = req.trace;
-    if (!trace && req.traceReuse && !req.program) {
+    if (!trace && !req.program) {
         // The acquisition path only learns where the trace came from
         // as it runs; the span is renamed to what actually happened.
         obs::SpanScope span(spans, "trace_capture");
@@ -528,16 +503,6 @@ runMany(const std::vector<RunRequest> &requests, TraceCache &cache,
     std::vector<RunResponse> responses(requests.size());
     common::parallelFor(jobs, requests.size(), [&](std::size_t i) {
         responses[i] = runOne(requests[i], &cache);
-    });
-    return responses;
-}
-
-std::vector<RunResponse>
-runMany(const std::vector<RunRequest> &requests, unsigned jobs)
-{
-    std::vector<RunResponse> responses(requests.size());
-    common::parallelFor(jobs, requests.size(), [&](std::size_t i) {
-        responses[i] = runOne(requests[i], nullptr);
     });
     return responses;
 }

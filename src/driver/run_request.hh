@@ -12,9 +12,10 @@
  * are exact inverses over the serializable subset, locked by
  * tests/test_run_request.cc.
  *
- * The historical convenience entry points (runSystem, runDataScalar,
- * runSweep, ...) remain in driver/driver.hh as thin wrappers over
- * runOne/runMany.
+ * A library caller that already holds a built program sets
+ * RunRequest::program; one that wants a timeline sets
+ * RunRequest::sampler. Sweeps are runMany over a shared TraceCache,
+ * which captures each (workload, scale, maxInsts) stream once.
  */
 
 #ifndef DSCALAR_DRIVER_RUN_REQUEST_HH
@@ -57,12 +58,6 @@ const char *systemKindName(SystemKind kind);
  *  SystemKind. */
 std::optional<SystemKind> parseSystemKind(const std::string &name);
 
-/**
- * Parse a CLI system name.
- * @return false when @p name matches no SystemKind (@p out untouched).
- */
-bool parseSystemKind(const std::string &name, SystemKind &out);
-
 /** @return printable name of @p kind ("bus" | "ring"). */
 const char *interconnectKindName(core::InterconnectKind kind);
 
@@ -70,14 +65,6 @@ const char *interconnectKindName(core::InterconnectKind kind);
  *  InterconnectKind. */
 std::optional<core::InterconnectKind>
 parseInterconnectKind(const std::string &name);
-
-/**
- * Parse a CLI interconnect name.
- * @return false when @p name matches no InterconnectKind (@p out
- * untouched).
- */
-bool parseInterconnectKind(const std::string &name,
-                           core::InterconnectKind &out);
 
 /**
  * One timing run, fully described.
@@ -107,9 +94,6 @@ struct RunRequest
                              ///  (key `block_pages`)
 
     // --- serializable: run attachments ---------------------------
-    /** Replay a shared captured trace when a TraceCache is available
-     *  (key `trace_reuse`; byte-identical numbers either way). */
-    bool traceReuse = true;
     /** Sample a per-node timeline every N cycles into the stats JSON
      *  (key `sample_interval`; 0 = off). */
     Cycle sampleInterval = 0;
@@ -219,8 +203,9 @@ stats::RunMeta runMeta(const RunRequest &req);
  * Execute one request. The program comes from @ref
  * RunRequest::program, else @p cache (built once per (workload,
  * scale)), else a fresh registry build; the replayed trace from
- * @ref RunRequest::trace, else @p cache when traceReuse is set, else
- * the run executes live. Unknown workloads and unwritable perfetto
+ * @ref RunRequest::trace, else @p cache (or a private cache over
+ * @ref RunRequest::traceDir) for registered workloads, else the run
+ * executes live. Unknown workloads and unwritable perfetto
  * paths come back as RunResponse::error rather than aborting (the
  * serving path must survive bad requests).
  */
@@ -234,11 +219,6 @@ RunResponse runOne(const RunRequest &req, TraceCache *cache = nullptr);
  */
 std::vector<RunResponse> runMany(const std::vector<RunRequest> &requests,
                                  TraceCache &cache, unsigned jobs = 1);
-
-/** As above without a cache: every request builds and executes its
- *  program independently. */
-std::vector<RunResponse> runMany(const std::vector<RunRequest> &requests,
-                                 unsigned jobs = 1);
 
 } // namespace driver
 } // namespace dscalar

@@ -105,18 +105,9 @@ FuncSim::invalidateDecode(Addr addr, unsigned size)
 bool
 FuncSim::step(DynInst *out)
 {
-    return hooksEnabled_ ? stepImpl<true>(out) : stepImpl<false>(out);
-}
-
-template <bool kHooked>
-bool
-FuncSim::stepImpl(DynInst *out)
-{
     if (halted_)
         return false;
 
-    if (kHooked && fetchHook_)
-        fetchHook_(pc_);
     const Instruction &inst = fetchDecode(pc_);
 
     Addr cur_pc = pc_;
@@ -215,8 +206,6 @@ FuncSim::stepImpl(DynInst *out)
       case Opcode::LBU: {
         eff_addr = us + static_cast<std::int64_t>(inst.imm);
         mem_size = inst.memSize();
-        if (kHooked && memHook_)
-            memHook_(eff_addr, mem_size, false);
         writeReg(inst.rd, mem_.read(eff_addr, mem_size));
         break;
       }
@@ -225,8 +214,6 @@ FuncSim::stepImpl(DynInst *out)
       case Opcode::SB: {
         eff_addr = us + static_cast<std::int64_t>(inst.imm);
         mem_size = inst.memSize();
-        if (kHooked && memHook_)
-            memHook_(eff_addr, mem_size, true);
         mem_.write(eff_addr, mem_size, ut);
         invalidateDecode(eff_addr, mem_size);
         break;
@@ -289,15 +276,9 @@ FuncSim::stepImpl(DynInst *out)
 InstSeq
 FuncSim::run(InstSeq max_insts)
 {
-    // Pick the interpreter variant once for the whole run.
     InstSeq n = 0;
-    if (hooksEnabled_) {
-        while (n < max_insts && stepImpl<true>(nullptr))
-            ++n;
-    } else {
-        while (n < max_insts && stepImpl<false>(nullptr))
-            ++n;
-    }
+    while (n < max_insts && step(nullptr))
+        ++n;
     return n;
 }
 

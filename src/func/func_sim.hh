@@ -5,8 +5,8 @@
  * Serves three roles, mirroring SimpleScalar's split in the paper:
  *  1. architectural oracle — computes the one true dynamic
  *     instruction stream that every DataScalar node commits (SPSD);
- *  2. workload driver for the in-order cache studies (Tables 1-2)
- *     via the memory-access hook;
+ *  2. trace source for the in-order cache studies (Tables 1-2),
+ *     through func::InstTrace::capture;
  *  3. correctness reference for the timing simulators (final state
  *     and syscall output must match).
  */
@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/types.hh"
@@ -42,11 +41,6 @@ struct DynInst
 class FuncSim
 {
   public:
-    /** Called for every data access: (addr, size, isWrite). */
-    using MemHook = std::function<void(Addr, unsigned, bool)>;
-    /** Called for every instruction fetch: (pc). */
-    using FetchHook = std::function<void(Addr)>;
-
     explicit FuncSim(const prog::Program &program);
 
     /** @return false once HALT or SYSCALL(Exit) has retired. */
@@ -62,21 +56,6 @@ class FuncSim
 
     mem::PhysMem &memory() { return mem_; }
     const mem::PhysMem &memory() const { return mem_; }
-
-    void
-    setMemHook(MemHook hook)
-    {
-        memHook_ = std::move(hook);
-        hooksEnabled_ = static_cast<bool>(memHook_) ||
-                        static_cast<bool>(fetchHook_);
-    }
-    void
-    setFetchHook(FetchHook hook)
-    {
-        fetchHook_ = std::move(hook);
-        hooksEnabled_ = static_cast<bool>(memHook_) ||
-                        static_cast<bool>(fetchHook_);
-    }
 
     /**
      * Execute one instruction; no-op when halted.
@@ -96,11 +75,6 @@ class FuncSim
     void writeReg(RegIndex index, std::uint64_t value);
     void doSyscall(std::int32_t code);
 
-    /** step(), specialized at compile time on hook presence so the
-     *  common hook-free interpreter loop pays no per-instruction
-     *  std::function checks or calls. */
-    template <bool kHooked> bool stepImpl(DynInst *out);
-
     /** Fetch + decode @p pc through the decode cache. */
     const isa::Instruction &fetchDecode(Addr pc);
     /** Drop cached decodes covered by a store (self-modifying code). */
@@ -112,9 +86,6 @@ class FuncSim
     bool halted_ = false;
     InstSeq retired_ = 0;
     std::string output_;
-    MemHook memHook_;
-    FetchHook fetchHook_;
-    bool hooksEnabled_ = false;
 
     // Direct-mapped decoded-instruction cache: the interpreter spends
     // much of its time re-reading and re-decoding the same static

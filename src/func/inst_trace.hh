@@ -17,10 +17,10 @@
  * compute-once-and-broadcast shape the paper applies to operands.
  *
  * Each chunk exposes its columns as raw read-only pointer views.
- * A chunk produced by capture() (or a decompressing load) *owns* its
- * columns in the *Store vectors; a chunk loaded from an on-disk trace
- * file (func/trace_file.hh) may instead *borrow* them straight out of
- * a read-only file mapping, with `backing` keeping the mapping alive
+ * A chunk produced by capture() *owns* its columns in the *Store
+ * vectors; a chunk loaded from an on-disk trace file
+ * (func/trace_file.hh) instead *borrows* them straight out of a
+ * read-only file mapping, with `backing` keeping the mapping alive
  * until the last borrowed chunk is released — so loading a multi-GB
  * trace costs O(pages touched), never a copy.
  */
@@ -94,7 +94,7 @@ class InstTrace
          *  aimed at borrowed storage are left alone. */
         void seal();
 
-        // Owned column storage (capture, or decompressed load).
+        // Owned column storage (capture).
         std::vector<Addr> pcStore;
         std::vector<std::uint32_t> wordStore;
         std::vector<Addr> effAddrStore;
@@ -132,7 +132,8 @@ class InstTrace
     };
 
     /** Reassemble a trace from loader-built parts (trace_file.cc).
-     *  Chunks must be sealed and sum to @p parts.length records. */
+     *  Chunks must have every view and their count set, and sum to
+     *  @p parts.length records. */
     static std::shared_ptr<const InstTrace> fromParts(Parts &&parts);
 
     /** Number of captured records. */

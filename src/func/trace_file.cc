@@ -19,7 +19,6 @@ namespace {
 
 constexpr char kMagic[8] = {'d', 's', 't', 'r', 'a', 'c', 'e', '\n'};
 constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr std::uint32_t kFlagCompressed = 1u << 0;
 constexpr unsigned kColumns = 4; ///< pc(+sentinel), word, effAddr, memSize
 
 /** Fixed file header; every multi-byte field is host (little)
@@ -94,19 +93,6 @@ fnv1a(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
 void
 appendRaw(std::string &buf, const void *data, std::size_t n)
 {
@@ -121,65 +107,6 @@ alignPayload(std::string &buf)
     while ((sizeof(RawHeader) + buf.size()) % 8 != 0)
         buf.push_back('\0');
     return sizeof(RawHeader) + buf.size();
-}
-
-void
-appendVarint(std::string &buf, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    buf.push_back(static_cast<char>(v));
-}
-
-bool
-readVarint(const std::uint8_t *&p, const std::uint8_t *end,
-           std::uint64_t &out)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p != end && shift < 64) {
-        std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80)) {
-            out = v;
-            return true;
-        }
-        shift += 7;
-    }
-    return false;
-}
-
-/** Append an Addr column as zigzag deltas (addresses and pcs are
- *  nearly sequential, so the varints are short). */
-void
-appendDeltaColumn(std::string &buf, const Addr *col, std::size_t n)
-{
-    Addr prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        appendVarint(buf, zigzag(static_cast<std::int64_t>(
-                              col[i] - prev)));
-        prev = col[i];
-    }
-}
-
-bool
-decodeDeltaColumn(const std::uint8_t *p, std::size_t bytes,
-                  std::size_t n, std::vector<Addr> &out)
-{
-    const std::uint8_t *end = p + bytes;
-    out.clear();
-    out.reserve(n);
-    Addr prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t zz = 0;
-        if (!readVarint(p, end, zz))
-            return false;
-        prev += static_cast<Addr>(unzigzag(zz));
-        out.push_back(prev);
-    }
-    return p == end; // a stored column must decode exactly
 }
 
 std::string
@@ -258,6 +185,10 @@ mapAndValidate(const std::string &path, RawHeader &hdr,
         error = "unsupported version " + std::to_string(hdr.version);
         return nullptr;
     }
+    if (hdr.flags != 0) {
+        error = "unsupported flags " + std::to_string(hdr.flags);
+        return nullptr;
+    }
     if (hdr.fileBytes != size) {
         error = "truncated file (header claims " +
                 std::to_string(hdr.fileBytes) + " bytes, file has " +
@@ -292,14 +223,13 @@ mapAndValidate(const std::string &path, RawHeader &hdr,
 bool
 saveTraceFile(const std::string &path, const InstTrace &trace,
               const std::string &key, std::uint64_t image_digest,
-              std::string &error, const TraceSaveOptions &opts)
+              std::string &error)
 {
     RawHeader hdr;
     std::memset(&hdr, 0, sizeof(hdr));
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
     hdr.version = kTraceFileVersion;
     hdr.endian = kEndianTag;
-    hdr.flags = opts.compressed ? kFlagCompressed : 0;
     hdr.halted = trace.programHalted() ? 1 : 0;
     hdr.records = trace.length();
     hdr.imageDigest = image_digest;
@@ -323,7 +253,7 @@ saveTraceFile(const std::string &path, const InstTrace &trace,
 
     std::vector<DirEntry> dir;
     dir.reserve(trace.numChunks() * kColumns);
-    auto raw_column = [&](const void *data, std::size_t bytes) {
+    auto column = [&](const void *data, std::size_t bytes) {
         DirEntry e{alignPayload(buf), bytes};
         appendRaw(buf, data, bytes);
         dir.push_back(e);
@@ -334,7 +264,6 @@ saveTraceFile(const std::string &path, const InstTrace &trace,
     // record's nextPc) and the loader aliases nextPc = pc + 1,
     // saving 8 bytes/record. The invariant is verified here so a
     // round trip can never silently rewrite a stream violating it.
-    std::vector<Addr> pc_scratch;
     for (std::size_t ci = 0; ci < trace.numChunks(); ++ci) {
         const InstTrace::Chunk &c = *trace.chunk(ci);
         std::size_t n = c.size();
@@ -345,29 +274,13 @@ saveTraceFile(const std::string &path, const InstTrace &trace,
                 return false;
             }
         }
-        if (opts.compressed) {
-            pc_scratch.assign(c.pc, c.pc + n);
-            pc_scratch.push_back(c.nextPc[n - 1]);
-            DirEntry e{alignPayload(buf), 0};
-            appendDeltaColumn(buf, pc_scratch.data(), n + 1);
-            e.bytes = sizeof(RawHeader) + buf.size() - e.offset;
-            dir.push_back(e);
-        } else {
-            DirEntry e{alignPayload(buf), (n + 1) * sizeof(Addr)};
-            appendRaw(buf, c.pc, n * sizeof(Addr));
-            appendRaw(buf, &c.nextPc[n - 1], sizeof(Addr));
-            dir.push_back(e);
-        }
-        raw_column(c.word, n * sizeof(std::uint32_t));
-        if (opts.compressed) {
-            DirEntry e{alignPayload(buf), 0};
-            appendDeltaColumn(buf, c.effAddr, n);
-            e.bytes = sizeof(RawHeader) + buf.size() - e.offset;
-            dir.push_back(e);
-        } else {
-            raw_column(c.effAddr, n * sizeof(Addr));
-        }
-        raw_column(c.memSize, n * sizeof(std::uint8_t));
+        DirEntry e{alignPayload(buf), (n + 1) * sizeof(Addr)};
+        appendRaw(buf, c.pc, n * sizeof(Addr));
+        appendRaw(buf, &c.nextPc[n - 1], sizeof(Addr));
+        dir.push_back(e);
+        column(c.word, n * sizeof(std::uint32_t));
+        column(c.effAddr, n * sizeof(Addr));
+        column(c.memSize, n * sizeof(std::uint8_t));
     }
 
     hdr.chunkDirOffset = alignPayload(buf);
@@ -432,7 +345,6 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
         return nullptr;
     }
 
-    bool compressed = (hdr.flags & kFlagCompressed) != 0;
     std::uint64_t num_chunks =
         (hdr.records + InstTrace::kChunkRecords - 1) >>
         InstTrace::kChunkShift;
@@ -463,6 +375,23 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
         }
     }
 
+    // Validate one fixed-width column of @p entries entries and
+    // borrow it from the mapping.
+    auto column = [&](const DirEntry &d, std::size_t entries,
+                      std::size_t width) -> const void * {
+        if (d.offset < sizeof(RawHeader) || d.offset > map->len ||
+            d.bytes > map->len - d.offset) {
+            error = "column out of range";
+            return nullptr;
+        }
+        if (d.bytes != entries * width || d.offset % 8 != 0) {
+            error = "malformed column";
+            return nullptr;
+        }
+        payload_bytes += d.bytes;
+        return map->base + d.offset;
+    };
+
     parts.chunks.reserve(num_chunks);
     for (std::uint64_t ci = 0; ci < num_chunks; ++ci) {
         std::size_t n = static_cast<std::size_t>(
@@ -474,94 +403,27 @@ loadTraceFile(const std::string &path, const std::string &expect_key,
         auto chunk = std::make_shared<InstTrace::Chunk>();
         chunk->backing = map;
 
-        // Validate one column and either borrow it from the mapping
-        // (raw) or leave the view null for the decoder to fill.
-        auto column = [&](const DirEntry &d, std::size_t width,
-                          const void *&view) -> bool {
-            if (d.offset < sizeof(RawHeader) ||
-                d.offset > map->len ||
-                d.bytes > map->len - d.offset) {
-                error = "column out of range";
-                return false;
-            }
-            payload_bytes += d.bytes;
-            if (width) { // raw fixed-width column
-                if (d.bytes != n * width || d.offset % 8 != 0) {
-                    error = "malformed column";
-                    return false;
-                }
-                view = map->base + d.offset;
-            }
-            return true;
-        };
-        auto addr_column = [&](const DirEntry &d, const Addr *&view,
-                               std::vector<Addr> &store) -> bool {
-            const void *raw = nullptr;
-            if (!column(d, compressed ? 0 : sizeof(Addr), raw))
-                return false;
-            if (!compressed) {
-                view = static_cast<const Addr *>(raw);
-                return true;
-            }
-            if (!decodeDeltaColumn(map->base + d.offset,
-                                   static_cast<std::size_t>(d.bytes),
-                                   n, store)) {
-                error = "corrupt delta column";
-                return false;
-            }
-            return true;
-        };
-
         // The pc column carries n+1 entries — the sentinel is the
         // last record's nextPc — and the sequential-stream invariant
         // the saver verified makes nextPc a one-record-shifted view
         // of the same storage.
-        const DirEntry &dpc = e[0];
-        if (dpc.offset < sizeof(RawHeader) || dpc.offset > map->len ||
-            dpc.bytes > map->len - dpc.offset) {
-            error = "column out of range";
+        const void *pc = column(e[0], n + 1, sizeof(Addr));
+        const void *word = column(e[1], n, sizeof(std::uint32_t));
+        const void *eff = column(e[2], n, sizeof(Addr));
+        const void *size = column(e[3], n, sizeof(std::uint8_t));
+        if (!pc || !word || !eff || !size)
             return nullptr;
-        }
-        payload_bytes += dpc.bytes;
-        if (!compressed) {
-            if (dpc.bytes != (n + 1) * sizeof(Addr) ||
-                dpc.offset % 8 != 0) {
-                error = "malformed column";
-                return nullptr;
-            }
-            chunk->pc = reinterpret_cast<const Addr *>(map->base +
-                                                       dpc.offset);
-        } else {
-            if (!decodeDeltaColumn(
-                    map->base + dpc.offset,
-                    static_cast<std::size_t>(dpc.bytes), n + 1,
-                    chunk->pcStore)) {
-                error = "corrupt delta column";
-                return nullptr;
-            }
-            chunk->pc = chunk->pcStore.data();
-        }
+        chunk->pc = static_cast<const Addr *>(pc);
         chunk->nextPc = chunk->pc + 1;
-
-        const void *word_view = nullptr;
-        const void *size_view = nullptr;
-        if (!column(e[1], sizeof(std::uint32_t), word_view) ||
-            !addr_column(e[2], chunk->effAddr, chunk->effAddrStore) ||
-            !column(e[3], sizeof(std::uint8_t), size_view))
-            return nullptr;
-        chunk->word = static_cast<const std::uint32_t *>(word_view);
-        chunk->memSize = static_cast<const std::uint8_t *>(size_view);
-        chunk->seal();
-        // After seal: the pc store holds n+1 entries, so the owned-
-        // store maximum overshoots by the sentinel; the record count
-        // is authoritative here.
+        chunk->word = static_cast<const std::uint32_t *>(word);
+        chunk->effAddr = static_cast<const Addr *>(eff);
+        chunk->memSize = static_cast<const std::uint8_t *>(size);
         chunk->count = n;
         parts.chunks.push_back(std::move(chunk));
     }
 
     if (info) {
         info->version = hdr.version;
-        info->compressed = compressed;
         info->records = hdr.records;
         info->halted = hdr.halted != 0;
         info->imageDigest = hdr.imageDigest;
@@ -592,7 +454,6 @@ probeTraceFile(const std::string &path, TraceFileInfo &info,
     for (std::uint64_t i = 0; i < chunks * kColumns; ++i)
         payload_bytes += dir[i].bytes;
     info.version = hdr.version;
-    info.compressed = (hdr.flags & kFlagCompressed) != 0;
     info.records = hdr.records;
     info.halted = hdr.halted != 0;
     info.imageDigest = hdr.imageDigest;

@@ -19,18 +19,13 @@
  * being the last record's nextPc, and the loader aliases
  * nextPc = pc + 1. That is 8 bytes/record the file never pays.
  *
- * Two storage modes per file:
- *  - raw: every column is stored as its native fixed-width array at
- *    an 8-byte-aligned offset. loadTraceFile() then mmaps the file
- *    read-only and *borrows* the columns straight out of the mapping
- *    (InstTrace::Chunk::backing keeps it alive), so loading a
- *    multi-GB trace is O(pages touched) and replay never copies a
- *    record.
- *  - compressed: the pc and effAddr columns are stored as
- *    zigzag-delta varints (they are nearly sequential, so this is
- *    ~3-4x smaller); the word and memSize columns stay raw and
- *    borrowed. The delta columns are decoded into owned chunk
- *    storage at load time.
+ * Every column is stored as its native fixed-width array at an
+ * 8-byte-aligned offset. loadTraceFile() mmaps the file read-only and
+ * *borrows* the columns straight out of the mapping
+ * (InstTrace::Chunk::backing keeps it alive), so loading a multi-GB
+ * trace is O(pages touched) and replay never copies a record. The
+ * header's flags word is reserved and must be zero; the loader
+ * rejects a file with any flag set.
  *
  * Writes are atomic: the file is assembled next to its final path as
  * `<path>.tmp.<pid>.<n>` and rename()d into place, so concurrent
@@ -57,19 +52,12 @@ constexpr std::uint32_t kTraceFileVersion = 1;
 struct TraceFileInfo
 {
     std::uint32_t version = 0;
-    bool compressed = false;
     std::uint64_t records = 0;
     bool halted = false;
     std::uint64_t imageDigest = 0;
     std::string key;
     std::uint64_t fileBytes = 0;    ///< total file size
     std::uint64_t payloadBytes = 0; ///< stored column bytes only
-};
-
-struct TraceSaveOptions
-{
-    /** Store pc/effAddr/nextPc as zigzag-delta varint columns. */
-    bool compressed = false;
 };
 
 /**
@@ -81,12 +69,11 @@ struct TraceSaveOptions
  */
 bool saveTraceFile(const std::string &path, const InstTrace &trace,
                    const std::string &key, std::uint64_t image_digest,
-                   std::string &error,
-                   const TraceSaveOptions &opts = {});
+                   std::string &error);
 
 /**
  * mmap @p path and rebuild its InstTrace, validating magic, version,
- * endianness, total size, payload checksum, and — unless
+ * endianness, flags, total size, payload checksum, and — unless
  * @p expect_key is empty — that the stored key and image digest match
  * @p expect_key / @p expect_digest exactly.
  *

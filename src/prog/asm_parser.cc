@@ -1,6 +1,8 @@
 #include "prog/asm_parser.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -108,10 +110,37 @@ class Parser
     integer(const std::string &tok, unsigned line_no) const
     {
         char *end = nullptr;
+        errno = 0;
         long long v = std::strtoll(tok.c_str(), &end, 0);
-        if (!end || *end != '\0')
+        if (tok.empty() || !end || *end != '\0' || errno == ERANGE)
             bad(line_no, "bad integer '" + tok + "'");
         return v;
+    }
+
+    /** integer() restricted to [@p lo, @p hi]. */
+    std::int64_t
+    integerIn(const std::string &tok, std::int64_t lo, std::int64_t hi,
+              unsigned line_no) const
+    {
+        std::int64_t v = integer(tok, line_no);
+        if (v < lo || v > hi)
+            bad(line_no, "'" + tok + "' out of range [" +
+                             std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]");
+        return v;
+    }
+
+    /** A 16-bit immediate field: zero-extended ops (andi/ori/xori,
+     *  lui, syscall) hold 0..65535, the rest -32768..32767. */
+    std::int32_t
+    imm16(const std::string &tok, isa::Opcode op, unsigned line_no) const
+    {
+        bool zext = op == isa::Opcode::ANDI || op == isa::Opcode::ORI ||
+                    op == isa::Opcode::XORI || op == isa::Opcode::LUI ||
+                    op == isa::Opcode::SYSCALL;
+        return static_cast<std::int32_t>(
+            zext ? integerIn(tok, 0, 65535, line_no)
+                 : integerIn(tok, -32768, 32767, line_no));
     }
 
     double
@@ -132,8 +161,8 @@ class Parser
         auto plus = tok.find('+');
         if (plus != std::string::npos) {
             name = tok.substr(0, plus);
-            char *end = nullptr;
-            off = std::strtoull(tok.c_str() + plus + 1, &end, 0);
+            off = static_cast<Addr>(integerIn(tok.substr(plus + 1), 0,
+                                              INT64_MAX, line_no));
         }
         auto it = symbols_.find(name);
         if (it == symbols_.end())
@@ -155,7 +184,7 @@ class Parser
         off = off_str.empty()
                   ? 0
                   : static_cast<std::int32_t>(
-                        integer(off_str, line_no));
+                        integerIn(off_str, -32768, 32767, line_no));
         base = reg(tok.substr(open + 1, close - open - 1), line_no);
     }
 
@@ -216,7 +245,7 @@ class Parser
         if (m == ".global" || m == ".heap") {
             require(st, 2);
             std::uint64_t size = static_cast<std::uint64_t>(
-                integer(st.operands[1], n));
+                integerIn(st.operands[1], 1, INT64_MAX, n));
             Addr base = m == ".global"
                             ? program_.allocGlobal(size)
                             : program_.allocHeap(size);
@@ -229,8 +258,11 @@ class Parser
                         static_cast<Addr>(
                             integer(st.operands[1], n));
             if (m == ".word") {
+                // Signed or unsigned 32-bit values both fit the word.
                 program_.poke32(addr, static_cast<std::uint32_t>(
-                                          integer(st.operands[2], n)));
+                                          integerIn(st.operands[2],
+                                                    INT32_MIN,
+                                                    UINT32_MAX, n)));
             } else if (m == ".dword") {
                 program_.poke64(addr, static_cast<std::uint64_t>(
                                           integer(st.operands[2], n)));
@@ -305,15 +337,13 @@ class Parser
                 require(st, 3);
                 inst.rd = reg(st.operands[0], n);
                 inst.rs = reg(st.operands[1], n);
-                inst.imm = static_cast<std::int32_t>(
-                    integer(st.operands[2], n));
+                inst.imm = imm16(st.operands[2], op, n);
             }
             break;
           case isa::Format::RI:
             require(st, 2);
             inst.rd = reg(st.operands[0], n);
-            inst.imm = static_cast<std::int32_t>(
-                integer(st.operands[1], n));
+            inst.imm = imm16(st.operands[1], op, n);
             break;
           case isa::Format::Mem: {
             require(st, 2);
@@ -363,8 +393,7 @@ class Parser
             break;
           case isa::Format::Sys:
             require(st, 1);
-            inst.imm = static_cast<std::int32_t>(
-                integer(st.operands[0], n));
+            inst.imm = imm16(st.operands[0], op, n);
             break;
         }
         asmr_.emit(inst);

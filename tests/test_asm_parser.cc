@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "func/func_sim.hh"
 #include "prog/asm_parser.hh"
@@ -189,6 +191,37 @@ TEST(AsmParserDeath, DoubleOperandTrailingJunk)
     EXPECT_EXIT(
         assembleSource(".global c, 8\n.double c, 0, 2.5junk\nhalt\n"),
         ::testing::ExitedWithCode(1), "bad number '2.5junk'");
+}
+
+TEST(AsmParserDeath, OutOfRangeOrMalformedOperands)
+{
+    // Each must fail on line 2 instead of assembling a truncated or
+    // half-parsed value.
+    const std::pair<const char *, const char *> cases[] = {
+        {"nop\naddi a0, zero, 40000\n", "'40000' out of range"},
+        {"nop\nori a0, zero, 70000\n", "'70000' out of range"},
+        {"nop\nsw t0, 40000(s1)\n", "'40000' out of range"},
+        {".global c, 8\nla s1, c+abc\n", "bad integer 'abc'"},
+        {".global c, 8\nla s1, c+12junk\n", "bad integer '12junk'"},
+        {".global c, 8\n.word c, 0, 99999999999\n",
+         "'99999999999' out of range"},
+        {"nop\n.global c, -5\n", "'-5' out of range"},
+    };
+    for (const auto &[src, msg] : cases)
+        EXPECT_EXIT(assembleSource(src), ::testing::ExitedWithCode(1),
+                    std::string("line 2: ") + msg)
+            << src;
+}
+
+TEST(AsmParser, ImmediateRangeBoundariesAssemble)
+{
+    auto sim = runSource(R"(
+        ori  a0, zero, 65535
+        addi a0, a0, -32768
+        syscall 1
+        halt
+    )");
+    EXPECT_EQ(sim.output(), "32767\n");
 }
 
 TEST(AsmParserDeath, ErrorsCarryLineNumbers)

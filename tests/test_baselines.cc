@@ -84,30 +84,33 @@ TEST(Traditional, MoreMemoryOnChipIsFaster)
 
 TEST(Perfect, FasterThanTraditional)
 {
-    Program p = streamProgram(4);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
-    core::RunResult perfect = driver::runPerfect(p, cfg);
-    core::RunResult trad = driver::runTraditional(p, cfg);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(4));
+    req.system = driver::SystemKind::Perfect;
+    core::RunResult perfect = driver::runOne(req).result;
+    req.system = driver::SystemKind::Traditional;
+    core::RunResult trad = driver::runOne(req).result;
     EXPECT_EQ(perfect.instructions, trad.instructions);
     EXPECT_LT(perfect.cycles, trad.cycles);
 }
 
 TEST(Perfect, IpcBoundedByWidth)
 {
-    Program p = streamProgram(2);
-    core::SimConfig cfg = driver::paperConfig();
-    core::RunResult r = driver::runPerfect(p, cfg);
-    EXPECT_LE(r.ipc, cfg.core.issueWidth);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(2));
+    req.system = driver::SystemKind::Perfect;
+    core::RunResult r = driver::runOne(req).result;
+    EXPECT_LE(r.ipc, req.config.core.issueWidth);
     EXPECT_GT(r.ipc, 0.5);
 }
 
 TEST(Perfect, TruncationHonoursBudget)
 {
-    Program p = streamProgram(4);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 1234;
-    core::RunResult r = driver::runPerfect(p, cfg);
+    driver::RunRequest req;
+    req.program = std::make_shared<const Program>(streamProgram(4));
+    req.system = driver::SystemKind::Perfect;
+    req.config.maxInsts = 1234;
+    core::RunResult r = driver::runOne(req).result;
     EXPECT_EQ(r.instructions, 1234u);
 }
 

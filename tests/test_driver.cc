@@ -48,7 +48,7 @@ TEST(ProfilePages, CountsHotPages)
     a.halt();
     a.finalize();
 
-    core::PageHeat heat = profilePages(p);
+    core::PageHeat heat = profilePages(*func::InstTrace::capture(p));
     EXPECT_GT(heat[prog::pageBase(hot)], 50u);
     EXPECT_EQ(heat[prog::pageBase(cold)], 1u);
     // Text pages counted too.
@@ -85,7 +85,7 @@ TEST(MeasureEspTraffic, ReadOnlyStreamEliminatesHalfTransactions)
     a.halt();
     a.finalize();
 
-    TrafficResult t = measureEspTraffic(p);
+    TrafficResult t = measureEspTraffic(*func::InstTrace::capture(p));
     EXPECT_EQ(t.requests, t.responses);
     EXPECT_EQ(t.writeBacks, 0u);
     EXPECT_DOUBLE_EQ(t.transactionsEliminated(), 0.5);
@@ -111,7 +111,7 @@ TEST(MeasureEspTraffic, DirtyDataRaisesElimination)
     a.halt();
     a.finalize();
 
-    TrafficResult t = measureEspTraffic(p);
+    TrafficResult t = measureEspTraffic(*func::InstTrace::capture(p));
     EXPECT_GT(t.writeBacks, 0u);
     EXPECT_GT(t.transactionsEliminated(), 0.5);
     EXPECT_GT(t.bytesEliminated(), 8.0 / 48.0);
@@ -157,7 +157,8 @@ TEST(MeasureDatathreads, SequentialStreamHasLongThreads)
     core::ReplicationReport rep;
     mem::PageTable table =
         core::buildPageTable(p, dist, nullptr, &rep);
-    DatathreadResult r = measureDatathreads(p, table, rep);
+    DatathreadResult r =
+        measureDatathreads(*func::InstTrace::capture(p), table, rep);
 
     // 4 pages x 128 misses per page per node-run.
     EXPECT_GT(r.meanData, 100.0);
@@ -198,7 +199,8 @@ TEST(MeasureDatathreads, InterleavedStreamsShortenThreads)
     core::ReplicationReport rep;
     mem::PageTable table =
         core::buildPageTable(p, dist, nullptr, &rep);
-    DatathreadResult interleaved = measureDatathreads(p, table, rep);
+    DatathreadResult interleaved =
+        measureDatathreads(*func::InstTrace::capture(p), table, rep);
     EXPECT_GT(interleaved.missRefs, 0u);
     EXPECT_LT(interleaved.meanData, 100.0);
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "func/func_sim.hh"
+#include "func/inst_trace.hh"
 #include "prog/assembler.hh"
 
 namespace dscalar {
@@ -195,12 +196,12 @@ TEST(FuncSim, MemHookSeesAllDataAccesses)
     a.halt();
     a.finalize();
 
-    FuncSim sim(p);
     std::vector<std::tuple<Addr, unsigned, bool>> accesses;
-    sim.setMemHook([&](Addr addr, unsigned size, bool w) {
-        accesses.emplace_back(addr, size, w);
-    });
-    sim.run(100);
+    InstTrace::capture(p, 100)->forEach(
+        [&](Addr, const isa::Instruction &inst, Addr addr, unsigned size) {
+            if (size)
+                accesses.emplace_back(addr, size, inst.isStore());
+        });
     ASSERT_EQ(accesses.size(), 4u);
     EXPECT_EQ(accesses[0], std::make_tuple(g, 4u, false));
     EXPECT_EQ(accesses[1], std::make_tuple(g + 4, 4u, true));
@@ -216,10 +217,11 @@ TEST(FuncSim, FetchHookSeesEveryPc)
     a.nop();
     a.halt();
     a.finalize();
-    FuncSim sim(p);
     std::vector<Addr> pcs;
-    sim.setFetchHook([&](Addr pc) { pcs.push_back(pc); });
-    sim.run(100);
+    InstTrace::capture(p, 100)->forEach(
+        [&](Addr pc, const isa::Instruction &, Addr, unsigned) {
+            pcs.push_back(pc);
+        });
     ASSERT_EQ(pcs.size(), 3u);
     EXPECT_EQ(pcs[0], p.textBaseAddr());
     EXPECT_EQ(pcs[1], p.textBaseAddr() + 4);

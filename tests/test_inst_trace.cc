@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distribution.hh"
-#include "driver/driver.hh"
 #include "func/inst_trace.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
@@ -196,46 +194,6 @@ TEST(InstTrace, TrimDropsChunkReferences)
         EXPECT_EQ(trace->chunk(1).use_count(), base + 1);
     }
     EXPECT_EQ(trace->chunk(1).use_count(), base);
-}
-
-TEST(InstTrace, AnalysesMatchFunctionalRun)
-{
-    prog::Program p = compressProgram();
-    constexpr InstSeq budget = 10000;
-    auto trace = InstTrace::capture(p, budget);
-
-    // Page heat, Table 1 traffic, and Table 2 datathreads rederived
-    // from the trace must equal the execution-driven versions
-    // exactly — same accesses, same order, same cache state.
-    core::PageHeat heat_live = driver::profilePages(p, budget);
-    core::PageHeat heat_trace = driver::profilePages(*trace);
-    EXPECT_EQ(heat_trace, heat_live);
-
-    driver::TrafficResult t_live = driver::measureEspTraffic(p, budget);
-    driver::TrafficResult t_trace = driver::measureEspTraffic(*trace);
-    EXPECT_EQ(t_trace.requestBytes, t_live.requestBytes);
-    EXPECT_EQ(t_trace.responseBytes, t_live.responseBytes);
-    EXPECT_EQ(t_trace.writeBackBytes, t_live.writeBackBytes);
-    EXPECT_EQ(t_trace.requests, t_live.requests);
-    EXPECT_EQ(t_trace.responses, t_live.responses);
-    EXPECT_EQ(t_trace.writeBacks, t_live.writeBacks);
-
-    core::DistributionConfig dist;
-    dist.numNodes = 4;
-    dist.replicateText = false;
-    dist.replicatedDataPages = p.touchedPages().size() / 4;
-    core::ReplicationReport rep;
-    mem::PageTable ptable =
-        core::buildPageTable(p, dist, &heat_live, &rep);
-    driver::DatathreadResult d_live =
-        driver::measureDatathreads(p, ptable, rep, budget);
-    driver::DatathreadResult d_trace =
-        driver::measureDatathreads(*trace, ptable, rep);
-    EXPECT_EQ(d_trace.meanAll, d_live.meanAll);
-    EXPECT_EQ(d_trace.meanText, d_live.meanText);
-    EXPECT_EQ(d_trace.meanData, d_live.meanData);
-    EXPECT_EQ(d_trace.meanRepl, d_live.meanRepl);
-    EXPECT_EQ(d_trace.missRefs, d_live.missRefs);
 }
 
 } // namespace

@@ -15,6 +15,20 @@ namespace {
 
 constexpr InstSeq kBudget = 60'000;
 
+using driver::SystemKind;
+
+/** A two-node paper-config request for @p workload on @p system. */
+driver::RunRequest
+request(const std::string &workload, SystemKind system,
+        InstSeq budget = kBudget)
+{
+    driver::RunRequest req;
+    req.workload = workload;
+    req.system = system;
+    req.config.maxInsts = budget;
+    return req;
+}
+
 class TimingWorkloadTest
     : public ::testing::TestWithParam<const char *>
 {
@@ -25,24 +39,24 @@ class TimingWorkloadTest
 
 TEST_P(TimingWorkloadTest, AllSystemsCommitSameInstructionCount)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-    auto perfect = driver::runPerfect(program_, cfg);
-    auto ds = driver::runDataScalar(program_, cfg);
-    auto trad = driver::runTraditional(program_, cfg);
+    auto perfect =
+        driver::runOne(request(GetParam(), SystemKind::Perfect)).result;
+    auto ds =
+        driver::runOne(request(GetParam(), SystemKind::DataScalar)).result;
+    auto trad =
+        driver::runOne(request(GetParam(), SystemKind::Traditional)).result;
     EXPECT_EQ(perfect.instructions, ds.instructions);
     EXPECT_EQ(perfect.instructions, trad.instructions);
 }
 
 TEST_P(TimingWorkloadTest, PerfectIsAnUpperBound)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-    auto perfect = driver::runPerfect(program_, cfg);
-    auto ds = driver::runDataScalar(program_, cfg);
-    auto trad = driver::runTraditional(program_, cfg);
+    auto perfect =
+        driver::runOne(request(GetParam(), SystemKind::Perfect)).result;
+    auto ds =
+        driver::runOne(request(GetParam(), SystemKind::DataScalar)).result;
+    auto trad =
+        driver::runOne(request(GetParam(), SystemKind::Traditional)).result;
     EXPECT_GE(perfect.ipc, ds.ipc * 0.999);
     EXPECT_GE(perfect.ipc, trad.ipc * 0.999);
 }
@@ -76,13 +90,11 @@ TEST_P(TimingWorkloadTest, DataScalarProtocolSoundOnRealCode)
 TEST_P(TimingWorkloadTest, FourNodeTraditionalSlowerThanTwoNode)
 {
     // Less on-chip memory must not speed the traditional system up.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-    auto t2 = driver::runTraditional(program_, cfg);
-    cfg.numNodes = 4;
-    auto t4 = driver::runTraditional(program_, cfg);
-    EXPECT_LE(t4.ipc, t2.ipc * 1.02);
+    driver::RunRequest req = request(GetParam(), SystemKind::Traditional);
+    double t2 = driver::runOne(req).result.ipc;
+    req.config.numNodes = 4;
+    double t4 = driver::runOne(req).result.ipc;
+    EXPECT_LE(t4, t2 * 1.02);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -95,30 +107,27 @@ TEST(HeadlineResult, DataScalarBeatsTraditionalAtFourNodes)
     // The paper's headline: 9%-15% faster at four nodes. Check the
     // direction on every timing benchmark. go_s needs a longer run
     // than the other tests for its (few) misses to matter.
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 150'000;
-    cfg.numNodes = 4;
     for (const auto &name : workloads::timingWorkloadNames()) {
-        prog::Program p = workloads::findWorkload(name).build(1);
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
-        EXPECT_GT(ds.ipc, trad.ipc) << name;
+        driver::RunRequest req =
+            request(name, SystemKind::DataScalar, 150'000);
+        req.config.numNodes = 4;
+        double ds = driver::runOne(req).result.ipc;
+        req.system = SystemKind::Traditional;
+        EXPECT_GT(ds, driver::runOne(req).result.ipc) << name;
     }
 }
 
 TEST(HeadlineResult, CompressGainsMostFromEsp)
 {
     // Store-heavy compress benefits most (paper Section 4.3).
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 4;
     double best_gain = 0.0;
     std::string best;
     for (const auto &name : workloads::timingWorkloadNames()) {
-        prog::Program p = workloads::findWorkload(name).build(1);
-        auto ds = driver::runDataScalar(p, cfg);
-        auto trad = driver::runTraditional(p, cfg);
-        double gain = ds.ipc / trad.ipc;
+        driver::RunRequest req = request(name, SystemKind::DataScalar);
+        req.config.numNodes = 4;
+        double ds = driver::runOne(req).result.ipc;
+        req.system = SystemKind::Traditional;
+        double gain = ds / driver::runOne(req).result.ipc;
         if (gain > best_gain) {
             best_gain = gain;
             best = name;
@@ -131,17 +140,14 @@ TEST(Sensitivity, SlowerBusWidensTheGap)
 {
     // Figure 8: "when the speed differential between the global and
     // on-chip buses grows, so does the disparity".
-    prog::Program p = workloads::findWorkload("compress_s").build(1);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-
-    cfg.bus.clockDivisor = 4;
-    double fast_ratio = driver::runDataScalar(p, cfg).ipc /
-                        driver::runTraditional(p, cfg).ipc;
-    cfg.bus.clockDivisor = 24;
-    double slow_ratio = driver::runDataScalar(p, cfg).ipc /
-                        driver::runTraditional(p, cfg).ipc;
+    driver::RunRequest ds = request("compress_s", SystemKind::DataScalar);
+    driver::RunRequest trad = request("compress_s", SystemKind::Traditional);
+    ds.config.bus.clockDivisor = trad.config.bus.clockDivisor = 4;
+    double fast_ratio = driver::runOne(ds).result.ipc /
+                        driver::runOne(trad).result.ipc;
+    ds.config.bus.clockDivisor = trad.config.bus.clockDivisor = 24;
+    double slow_ratio = driver::runOne(ds).result.ipc /
+                        driver::runOne(trad).result.ipc;
     EXPECT_GT(slow_ratio, fast_ratio);
 }
 
@@ -149,17 +155,14 @@ TEST(Sensitivity, SlowerMemoryConvergesTheSystems)
 {
     // Figure 8: performance converges when bank access time
     // dominates (DataScalar reduces transmission, not access cost).
-    prog::Program p = workloads::findWorkload("applu_s").build(1);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-
-    cfg.mem.accessLatency = 8;
-    double fast_gap = driver::runDataScalar(p, cfg).ipc -
-                      driver::runTraditional(p, cfg).ipc;
-    cfg.mem.accessLatency = 256;
-    double slow_gap = driver::runDataScalar(p, cfg).ipc -
-                      driver::runTraditional(p, cfg).ipc;
+    driver::RunRequest ds = request("applu_s", SystemKind::DataScalar);
+    driver::RunRequest trad = request("applu_s", SystemKind::Traditional);
+    ds.config.mem.accessLatency = trad.config.mem.accessLatency = 8;
+    double fast_gap = driver::runOne(ds).result.ipc -
+                      driver::runOne(trad).result.ipc;
+    ds.config.mem.accessLatency = trad.config.mem.accessLatency = 256;
+    double slow_gap = driver::runOne(ds).result.ipc -
+                      driver::runOne(trad).result.ipc;
     EXPECT_LT(slow_gap, fast_gap);
 }
 
@@ -167,15 +170,10 @@ TEST(WritePolicy, NoAllocateBeatsAllocateUnderEsp)
 {
     // Section 4.2: write-noallocate is "superior to write-allocate
     // in an ESP-based system".
-    prog::Program p = workloads::findWorkload("compress_s").build(1);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 2;
-
-    auto noalloc = driver::runDataScalar(p, cfg);
-    cfg.core.dcache.writeAllocate = true;
-    auto alloc = driver::runDataScalar(p, cfg);
-    EXPECT_GE(noalloc.ipc, alloc.ipc);
+    driver::RunRequest req = request("compress_s", SystemKind::DataScalar);
+    double noalloc = driver::runOne(req).result.ipc;
+    req.config.core.dcache.writeAllocate = true;
+    EXPECT_GE(noalloc, driver::runOne(req).result.ipc);
 }
 
 } // namespace

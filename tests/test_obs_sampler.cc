@@ -205,12 +205,11 @@ TEST(SamplerIntegration, DeterministicUnderConcurrentRuns)
 
 TEST(SamplerIntegration, RunSystemAcceptsSampler)
 {
-    prog::Program p = stridedProgram(2);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.numNodes = 2;
     Sampler sampler(100);
-    core::RunResult r = driver::runSystem(
-        driver::SystemKind::DataScalar, p, cfg, 1, nullptr, &sampler);
+    driver::RunRequest req;
+    req.program = std::make_shared<const prog::Program>(stridedProgram(2));
+    req.sampler = &sampler;
+    core::RunResult r = driver::runOne(req).result;
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(sampler.sampleCount(), 0u);
     // The last emitted nominal cycle never exceeds the run length.

@@ -3,9 +3,8 @@
  * RunRequest API tests: kv helper semantics, parse/format exactness
  * (format ∘ parse ∘ format is the identity on the serializable
  * subset), key-level error reporting, the recovery-default finalize
- * rule, the optional-returning name parsers, and equivalence of the
- * legacy driver entry points (runSystem, runSweep) with the
- * runOne/runMany core they now wrap.
+ * rule, the optional-returning name parsers, and runOne's
+ * cold/warm byte identity.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "common/kv.hh"
 #include "driver/driver.hh"
 #include "driver/trace_cache.hh"
-#include "workloads/workloads.hh"
 
 namespace dscalar {
 namespace {
@@ -75,7 +73,6 @@ nonDefaultRequest()
     req.config.bshrHardCapacity = true;
     req.config.bshrCapacity = 16;
     req.blockPages = 2;
-    req.traceReuse = false;
     req.sampleInterval = 500;
     req.profile = true;
     req.perfettoPath = "trace.json";
@@ -107,7 +104,6 @@ TEST(RunRequestFormat, ParseIsExactInverse)
     EXPECT_TRUE(parsed.config.bshrHardCapacity);
     EXPECT_EQ(parsed.config.bshrCapacity, 16u);
     EXPECT_EQ(parsed.blockPages, 2u);
-    EXPECT_FALSE(parsed.traceReuse);
     EXPECT_EQ(parsed.sampleInterval, 500u);
     EXPECT_TRUE(parsed.profile);
     EXPECT_EQ(parsed.perfettoPath, "trace.json");
@@ -188,13 +184,17 @@ TEST(RunRequestParse, Errors)
     EXPECT_FALSE(driver::parseRunRequest(badprob, req, error));
     EXPECT_NE(error.find("fault_drop"), std::string::npos) << error;
 
-    // Intra-simulation tick threads are gone; the key no longer
-    // parses rather than being silently ignored.
-    std::istringstream gone("workload = go_s\ntick_threads = 1\n\n");
-    EXPECT_FALSE(driver::parseRunRequest(gone, req, error));
-    EXPECT_NE(error.find("unknown key 'tick_threads'"),
-              std::string::npos)
-        << error;
+    // Retired keys (intra-simulation tick threads; the trace-reuse
+    // switch, now always on) no longer parse rather than being
+    // silently ignored.
+    for (const char *key : {"tick_threads", "trace_reuse"}) {
+        std::istringstream gone("workload = go_s\n" +
+                                std::string(key) + " = 1\n\n");
+        EXPECT_FALSE(driver::parseRunRequest(gone, req, error));
+        EXPECT_NE(error.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(RunRequestParse, KeyErrorLeavesRequestUnchanged)
@@ -235,11 +235,6 @@ TEST(KindParsers, OptionalOverloads)
     ASSERT_TRUE(net.has_value());
     EXPECT_EQ(*net, core::InterconnectKind::Ring);
     EXPECT_FALSE(driver::parseInterconnectKind("mesh").has_value());
-
-    // The bool-out wrappers leave the out-param untouched on failure.
-    driver::SystemKind kind = driver::SystemKind::Traditional;
-    EXPECT_FALSE(driver::parseSystemKind("vector", kind));
-    EXPECT_EQ(kind, driver::SystemKind::Traditional);
 }
 
 TEST(RunOne, UnknownWorkloadIsAnError)
@@ -250,59 +245,6 @@ TEST(RunOne, UnknownWorkloadIsAnError)
     EXPECT_FALSE(resp.ok());
     EXPECT_NE(resp.error.find("unknown workload"), std::string::npos)
         << resp.error;
-}
-
-TEST(RunOne, MatchesLegacyRunSystem)
-{
-    prog::Program program = workloads::findWorkload("go_s").build(1);
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 3000;
-
-    core::RunResult legacy = driver::runSystem(
-        driver::SystemKind::DataScalar, program, cfg);
-
-    driver::RunRequest req;
-    req.workload = "go_s";
-    req.system = driver::SystemKind::DataScalar;
-    req.config = cfg;
-    driver::RunResponse resp = driver::runOne(req);
-
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.result.cycles, legacy.cycles);
-    EXPECT_EQ(resp.result.instructions, legacy.instructions);
-    EXPECT_EQ(resp.result.ipc, legacy.ipc);
-}
-
-TEST(RunMany, MatchesLegacyRunSweep)
-{
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = 3000;
-    std::vector<driver::SweepPoint> points;
-    for (driver::SystemKind system :
-         {driver::SystemKind::Perfect, driver::SystemKind::DataScalar,
-          driver::SystemKind::Traditional}) {
-        driver::SweepPoint pt;
-        pt.workload = "compress_s";
-        pt.system = system;
-        pt.config = cfg;
-        points.push_back(pt);
-    }
-
-    std::vector<core::RunResult> legacy = driver::runSweep(points);
-
-    std::vector<driver::RunRequest> requests;
-    for (const driver::SweepPoint &pt : points)
-        requests.push_back(driver::toRunRequest(pt));
-    driver::TraceCache cache;
-    std::vector<driver::RunResponse> responses =
-        driver::runMany(requests, cache);
-
-    ASSERT_EQ(responses.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-        ASSERT_TRUE(responses[i].ok()) << responses[i].error;
-        EXPECT_EQ(responses[i].result.cycles, legacy[i].cycles);
-        EXPECT_EQ(responses[i].result.ipc, legacy[i].ipc);
-    }
 }
 
 TEST(RunOne, WarmCacheStatsJsonByteIdentical)

@@ -26,19 +26,23 @@ class SmokeMatrixTest
 
 TEST_P(SmokeMatrixTest, PerfectSystem)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    core::RunResult r = driver::runPerfect(program_, cfg);
+    driver::RunRequest req;
+    req.workload = GetParam();
+    req.system = driver::SystemKind::Perfect;
+    req.config.maxInsts = kBudget;
+    core::RunResult r = driver::runOne(req).result;
     EXPECT_EQ(r.instructions, kBudget);
     EXPECT_GT(r.ipc, 0.0);
 }
 
 TEST_P(SmokeMatrixTest, TraditionalSystem)
 {
-    core::SimConfig cfg = driver::paperConfig();
-    cfg.maxInsts = kBudget;
-    cfg.numNodes = 4;
-    core::RunResult r = driver::runTraditional(program_, cfg);
+    driver::RunRequest req;
+    req.workload = GetParam();
+    req.system = driver::SystemKind::Traditional;
+    req.config.maxInsts = kBudget;
+    req.config.numNodes = 4;
+    core::RunResult r = driver::runOne(req).result;
     EXPECT_EQ(r.instructions, kBudget);
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * Persistent trace store tests: raw and compressed files round-trip
- * every record byte-identically, a disk-loaded trace replays to the
- * same results as the live capture on all three system families,
- * every corruption class (bad magic, foreign version, truncation,
- * flipped payload byte, wrong key, stale digest) is rejected before
- * a record is trusted, non-sequential streams refuse to serialize,
- * and the TraceCache disk path survives corrupt files and concurrent
- * writers racing the same key. Carries the trace-store label so the
+ * Persistent trace store tests: a saved file round-trips every
+ * record byte-identically, a disk-loaded trace replays to the same
+ * results as the live capture on all three system families, every
+ * corruption class (bad magic, foreign version, unknown flags,
+ * truncation, flipped payload byte, wrong key, stale digest) is
+ * rejected before a record is trusted, non-sequential streams refuse
+ * to serialize, and the TraceCache disk path survives corrupt files
+ * and concurrent writers racing the same key. Carries the trace-store label so the
  * mmap/validation paths also run under the sanitizer presets.
  */
 
@@ -115,23 +115,16 @@ fileSize(const std::string &path)
     return static_cast<std::uint64_t>(st.st_size);
 }
 
-class TraceFileRoundTrip : public ::testing::TestWithParam<bool>
-{};
-
-TEST_P(TraceFileRoundTrip, PreservesEveryRecord)
+TEST(TraceFile, RoundTripPreservesEveryRecord)
 {
-    const bool compressed = GetParam();
     Captured c = captureCompress();
     ASSERT_EQ(c.trace->length(), kBudget);
     ASSERT_GT(c.trace->numChunks(), 1u);
 
-    std::string path = tempPath(compressed ? "rt_compressed.dstrace"
-                                           : "rt_raw.dstrace");
-    func::TraceSaveOptions opts;
-    opts.compressed = compressed;
+    std::string path = tempPath("rt_raw.dstrace");
     std::string error;
     ASSERT_TRUE(
-        func::saveTraceFile(path, *c.trace, kKey, c.digest, error, opts))
+        func::saveTraceFile(path, *c.trace, kKey, c.digest, error))
         << error;
 
     func::TraceFileInfo info;
@@ -140,32 +133,23 @@ TEST_P(TraceFileRoundTrip, PreservesEveryRecord)
     expectTracesIdentical(*c.trace, *loaded);
 
     EXPECT_EQ(info.version, func::kTraceFileVersion);
-    EXPECT_EQ(info.compressed, compressed);
     EXPECT_EQ(info.records, kBudget);
     EXPECT_EQ(info.imageDigest, c.digest);
     EXPECT_EQ(info.key, kKey);
     EXPECT_EQ(info.fileBytes, fileSize(path));
     EXPECT_GT(info.payloadBytes, 0u);
 
-    // Loaded chunks borrow from the mapping (raw columns point into
-    // the file; even compressed chunks keep word/memSize borrowed).
+    // Loaded chunks borrow every column from the mapping.
     for (std::size_t i = 0; i < loaded->numChunks(); ++i)
         EXPECT_TRUE(loaded->chunk(i)->borrowed()) << "chunk " << i;
 
     func::TraceFileInfo probe;
     ASSERT_TRUE(func::probeTraceFile(path, probe, error)) << error;
     EXPECT_EQ(probe.records, info.records);
-    EXPECT_EQ(probe.compressed, compressed);
     EXPECT_EQ(probe.fileBytes, info.fileBytes);
     EXPECT_EQ(probe.key, kKey);
     ASSERT_EQ(::unlink(path.c_str()), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(RawAndCompressed, TraceFileRoundTrip,
-                         ::testing::Values(false, true),
-                         [](const auto &p) {
-                             return p.param ? "compressed" : "raw";
-                         });
 
 TEST(TraceFile, ReplayedLoadMatchesLiveRunOnEverySystem)
 {
@@ -255,6 +239,17 @@ TEST(TraceFile, RejectsEveryCorruptionClass)
                   nullptr);
         EXPECT_NE(error.find("unsupported version"), std::string::npos)
             << error;
+    }
+    { // Unknown header flags (u32 at offset 16); the retired
+      // compressed layout set bit 0.
+        std::string path = freshCopy("badflags.dstrace");
+        for (std::uint32_t flags : {1u, 2u}) {
+            patchFile(path, 16, &flags, sizeof(flags));
+            EXPECT_EQ(func::loadTraceFile(path, kKey, c.digest, error),
+                      nullptr);
+            EXPECT_NE(error.find("unsupported flags"), std::string::npos)
+                << error;
+        }
     }
     { // Truncated mid-payload.
         std::string path = freshCopy("short.dstrace");
@@ -371,22 +366,33 @@ TEST(TraceStore, CorruptStoredFileFallsBackToCapture)
         dir + "/" +
         driver::TraceCache::traceFileName("compress_s", 1, kBudget,
                                           digest);
-    std::uint64_t offset = fileSize(path) / 2;
-    char byte = 0x7f;
-    patchFile(path, offset, &byte, 1);
+    // A flipped payload byte, then a flags word no loader knows
+    // (outside the payload checksum, so only the flags check sees it).
+    struct Patch
+    {
+        std::uint64_t offset;
+        const void *bytes;
+        std::size_t count;
+    };
+    const std::uint32_t flags = 2;
+    const char byte = 0x7f;
+    for (const Patch &patch : {Patch{fileSize(path) / 2, &byte, 1},
+                               Patch{16, &flags, sizeof(flags)}}) {
+        patchFile(path, patch.offset, patch.bytes, patch.count);
 
-    driver::TraceCache cache;
-    cache.setTraceDir(dir);
-    auto trace = cache.acquire("compress_s", 1, kBudget);
-    ASSERT_NE(trace, nullptr);
-    EXPECT_EQ(trace->length(), kBudget);
-    EXPECT_EQ(cache.captures(), 1u) << "corrupt file must re-capture";
-    EXPECT_EQ(cache.diskHits(), 0u);
-    // The re-capture rewrote a valid file over the corrupt one.
-    EXPECT_EQ(cache.diskWrites(), 1u);
-    std::string error;
-    EXPECT_NE(func::loadTraceFile(path, "", 0, error), nullptr)
-        << error;
+        driver::TraceCache cache;
+        cache.setTraceDir(dir);
+        auto trace = cache.acquire("compress_s", 1, kBudget);
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace->length(), kBudget);
+        EXPECT_EQ(cache.captures(), 1u) << "bad file must re-capture";
+        EXPECT_EQ(cache.diskHits(), 0u);
+        // The re-capture rewrote a valid file over the bad one.
+        EXPECT_EQ(cache.diskWrites(), 1u);
+        std::string error;
+        EXPECT_NE(func::loadTraceFile(path, "", 0, error), nullptr)
+            << error;
+    }
 }
 
 TEST(TraceStore, ConcurrentWritersPublishOneCompleteFile)

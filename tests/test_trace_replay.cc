@@ -54,17 +54,20 @@ testConfig(bool event_driven)
 
 TEST(TraceReplay, RunResultsMatchEverySystemAndMode)
 {
-    const prog::Program &p = testProgram();
-    auto trace = testTrace();
+    RunRequest req;
+    req.workload = "compress_s";
     for (bool ed : {true, false}) {
-        core::SimConfig cfg = testConfig(ed);
+        req.config = testConfig(ed);
         for (SystemKind kind :
              {SystemKind::Perfect, SystemKind::DataScalar,
               SystemKind::Traditional}) {
             SCOPED_TRACE(std::string(systemKindName(kind)) +
                          (ed ? " event-driven" : " cycle-stepped"));
-            core::RunResult fresh = runSystem(kind, p, cfg);
-            core::RunResult replay = runSystem(kind, p, cfg, 1, trace);
+            req.system = kind;
+            req.trace = nullptr;
+            core::RunResult fresh = runOne(req).result;
+            req.trace = testTrace();
+            core::RunResult replay = runOne(req).result;
             EXPECT_EQ(replay.cycles, fresh.cycles);
             EXPECT_EQ(replay.instructions, fresh.instructions);
             EXPECT_EQ(replay.ipc, fresh.ipc);

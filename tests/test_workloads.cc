@@ -96,16 +96,14 @@ TEST(WorkloadBehaviour, CompressIsStoreHeavy)
 {
     // The paper's compress result hinges on stores ~= loads.
     prog::Program p = findWorkload("compress_s").build(1);
-    func::FuncSim sim(p);
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
-    sim.setMemHook([&](Addr, unsigned, bool w) {
-        if (w)
-            ++stores;
-        else
-            ++loads;
-    });
-    sim.run(2'000'000);
+    func::InstTrace::capture(p, 2'000'000)
+        ->forEach([&](Addr, const isa::Instruction &inst, Addr,
+                      unsigned size) {
+            if (size)
+                ++(inst.isStore() ? stores : loads);
+        });
     EXPECT_GT(stores, loads / 2) << "stores " << stores << " loads "
                                  << loads;
 }

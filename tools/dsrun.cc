@@ -54,10 +54,9 @@
  *                      are on, else recovery off)
  *   --bshr-hard        enforce BSHR capacity (stall + re-request)
  *   --sweep            run the Figure 7 sweep over the timing
- *                      workloads instead of one program
- *   --no-trace-reuse   capture no shared traces: re-execute each
- *                      sweep point functionally (slower, identical
- *                      numbers)
+ *                      workloads instead of one program (each
+ *                      workload captured once, replayed by every
+ *                      point)
  *   --list             list registered workloads
  */
 
@@ -96,7 +95,7 @@ usage()
         "\n             [--bshr-hard]"
         "\n             <program.s | workload-name>\n"
         "       dsrun --sweep [--max-insts=N] [--jobs=N] "
-        "[--no-skip] [--no-trace-reuse]\n"
+        "[--no-skip]\n"
         "       dsrun --list\n");
     return 2;
 }
@@ -171,7 +170,6 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     bool stats = false;
     bool sweep = false;
-    bool noTraceReuse = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -186,8 +184,6 @@ main(int argc, char **argv)
             stats = true;
         } else if (arg == "--sweep") {
             sweep = true;
-        } else if (arg == "--no-trace-reuse") {
-            noTraceReuse = true;
         } else if (arg == "--ring") {
             req.config.interconnect = core::InterconnectKind::Ring;
         } else if (arg == "--no-skip") {
@@ -231,7 +227,7 @@ main(int argc, char **argv)
             req.config.maxInsts ? req.config.maxInsts : 100'000;
         stats::Table table = driver::fig7IpcTable(
             workloads::timingWorkloadNames(), budget, jobs,
-            req.config.eventDriven, !noTraceReuse);
+            req.config.eventDriven);
         table.print(std::cout);
         return 0;
     }
