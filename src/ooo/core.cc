@@ -1,6 +1,7 @@
 #include "ooo/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "prog/layout.hh"
@@ -53,6 +54,11 @@ OoOCore::OoOCore(const CoreParams &params, OracleStream &stream,
     fatal_if(params_.ruuEntries == 0, "RUU must have entries");
     fatal_if(params_.lsqEntries == 0, "LSQ must have entries");
     std::fill(std::begin(lastWriter_), std::end(lastWriter_), 0);
+
+    std::size_t ring = std::bit_ceil(std::size_t{params_.ruuEntries});
+    window_.resize(ring);
+    windowStores_.resize(ring);
+    windowMask_ = ring - 1;
 
     // TLBs: one fully associative set of page-granular entries.
     auto make_tlb = [](unsigned entries) {
@@ -108,12 +114,12 @@ OoOCore::nextEventCycle(Cycle now) const
     // An empty window resolves within one tick: either fetch refills
     // it, or doCommit's empty-window probe discovers the end of a
     // truncated stream and flips done_.
-    if (window_.empty())
+    if (windowSize() == 0)
         return now + 1;
 
     // Commit: the head is complete but this cycle's commit width ran
     // out before reaching it.
-    if (window_.front().completed)
+    if (uop(nextCommitSeq_).completed)
         return now + 1;
 
     // Issue: a ready uop that is not waiting on a store address or an
@@ -128,6 +134,13 @@ OoOCore::nextEventCycle(Cycle now) const
                           !backendStalled(u)))
             return now + 1;
     }
+    for (InstSeq seq : parkedLoads_) {
+        const Uop &u = uop(seq);
+        if (loadBlockedByStore(u))
+            break; // so is every younger parked load
+        if (!mshrStalled(u) && !backendStalled(u))
+            return now + 1;
+    }
 
     Cycle next = cycleMax;
 
@@ -139,7 +152,7 @@ OoOCore::nextEventCycle(Cycle now) const
     if (!fetchEnded_) {
         if (now < fetchStallUntil_) {
             next = std::min(next, fetchStallUntil_);
-        } else if (window_.size() < params_.ruuEntries) {
+        } else if (windowSize() < params_.ruuEntries) {
             if (!stream_.available(nextFetchSeq_))
                 return now + 1; // a tick must discover the stream end
             const func::DynInst &di = stream_.get(nextFetchSeq_);
@@ -200,15 +213,15 @@ OoOCore::doCommit(Cycle now)
     // A truncated stream's end may only be discovered by the fetch
     // probe that runs *after* the final commit (tiny windows): catch
     // up here, or the core would never report done.
-    if (window_.empty() && stream_.ended() &&
+    if (windowSize() == 0 && stream_.ended() &&
         nextCommitSeq_ == stream_.endSeq()) {
         done_ = true;
         return;
     }
     for (unsigned n = 0; n < params_.commitWidth; ++n) {
-        if (window_.empty())
+        if (windowSize() == 0)
             return;
-        Uop &u = window_.front();
+        Uop &u = uop(nextCommitSeq_);
         if (!u.completed || u.readyAt > now)
             return;
 
@@ -227,18 +240,16 @@ OoOCore::doCommit(Cycle now)
             ++stats_.loads;
         if (u.isStore) {
             ++stats_.stores;
-            panic_if(windowStores_.empty() ||
-                         windowStores_.front() != u.seq,
+            panic_if(storeHead_ == storeTail_ ||
+                         windowStores_[storeHead_ & windowMask_] != u.seq,
                      "store queue out of sync");
-            windowStores_.pop_front();
+            ++storeHead_;
         }
         if (u.isLoad || u.isStore) {
             panic_if(lsqOccupancy_ == 0, "LSQ underflow");
             --lsqOccupancy_;
         }
 
-        window_.pop_front();
-        ++windowBase_;
         ++nextCommitSeq_;
 
         if (stream_.ended() && nextCommitSeq_ == stream_.endSeq()) {
@@ -275,11 +286,11 @@ OoOCore::commitLoad(Uop &u, Cycle now)
             ++stats_.dirtyWriteBacks;
             backend_.writeBack(res.victimAddr, now);
         }
-        auto it = dcub_.find(u.lineAddr);
-        if (it != dcub_.end() && !it->second.claimed) {
+        DcubEntry *e = findDcub(u.lineAddr);
+        if (e && !e->claimed) {
             // The one fetch this node performed for this line
             // episode is assigned to this (canonical) miss.
-            it->second.claimed = true;
+            e->claimed = true;
         } else {
             // Pure false hit: this node never fetched the line this
             // episode. Owners repair with a reparative broadcast;
@@ -313,9 +324,9 @@ OoOCore::commitStore(Uop &u, Cycle now)
             ++stats_.dirtyWriteBacks;
             backend_.writeBack(res.victimAddr, now);
         }
-        auto it = dcub_.find(u.lineAddr);
-        if (it != dcub_.end() && !it->second.claimed)
-            it->second.claimed = true;
+        DcubEntry *e = findDcub(u.lineAddr);
+        if (e && !e->claimed)
+            e->claimed = true;
         else
             backend_.onUnclaimedCanonicalMiss(u.lineAddr, now);
     } else {
@@ -324,21 +335,34 @@ OoOCore::commitStore(Uop &u, Cycle now)
     }
 }
 
+OoOCore::DcubEntry *
+OoOCore::findDcub(Addr line)
+{
+    for (std::size_t i = 0; i < dcubLive_; ++i) {
+        if (dcub_[i].line == line)
+            return &dcub_[i];
+    }
+    return nullptr;
+}
+
 void
 OoOCore::releaseDcubUser(Addr line)
 {
-    auto it = dcub_.find(line);
-    panic_if(it == dcub_.end(), "DCUB entry for 0x%llx missing",
+    DcubEntry *e = findDcub(line);
+    panic_if(!e, "DCUB entry for 0x%llx missing",
              (unsigned long long)line);
-    DcubEntry &e = it->second;
-    panic_if(e.users == 0, "DCUB user underflow");
-    if (--e.users == 0) {
-        panic_if(!e.waiters.empty(), "DCUB freed with waiters");
-        panic_if(e.pending, "DCUB freed while pending");
-        panic_if(!e.claimed && !params_.perfectData,
+    panic_if(e->users == 0, "DCUB user underflow");
+    if (--e->users == 0) {
+        panic_if(!e->waiters.empty(), "DCUB freed with waiters");
+        panic_if(e->pending, "DCUB freed while pending");
+        panic_if(!e->claimed && !params_.perfectData,
                  "DCUB entry for 0x%llx freed unclaimed",
                  (unsigned long long)line);
-        dcub_.erase(it);
+        // Swap the last live entry into the hole; the freed slot
+        // moves past dcubLive_ with its waiters' capacity.
+        DcubEntry &last = dcub_[--dcubLive_];
+        if (e != &last)
+            std::swap(*e, last);
     }
 }
 
@@ -364,10 +388,9 @@ OoOCore::mshrStalled(const Uop &u) const
     // two nodes whose MSHRs are full of waits on each other's
     // broadcasts deadlock.
     return params_.maxOutstandingFills != 0 &&
-           u.seq != windowBase_ &&
-           dcub_.size() >= params_.maxOutstandingFills &&
-           !params_.perfectData &&
-           dcub_.find(u.lineAddr) == dcub_.end() &&
+           u.seq != nextCommitSeq_ &&
+           dcubLive_ >= params_.maxOutstandingFills &&
+           !params_.perfectData && !findDcub(u.lineAddr) &&
            !dcache_.probe(u.lineAddr) && !forwardingStore(u);
 }
 
@@ -378,9 +401,8 @@ OoOCore::backendStalled(const Uop &u) const
     // load that would start a new fetch waits until the backend can
     // accept one, and the oldest instruction bypasses the check so
     // forward progress survives a full bank.
-    return backendMayStall_ && u.seq != windowBase_ &&
-           !params_.perfectData &&
-           dcub_.find(u.lineAddr) == dcub_.end() &&
+    return backendMayStall_ && u.seq != nextCommitSeq_ &&
+           !params_.perfectData && !findDcub(u.lineAddr) &&
            !dcache_.probe(u.lineAddr) && !forwardingStore(u) &&
            !backend_.canAcceptFetch(u.lineAddr);
 }
@@ -388,11 +410,9 @@ OoOCore::backendStalled(const Uop &u) const
 const OoOCore::Uop *
 OoOCore::forwardingStore(const Uop &u) const
 {
-    for (auto rit = windowStores_.rbegin(); rit != windowStores_.rend();
-         ++rit) {
-        if (*rit >= u.seq)
-            continue;
-        const Uop &st = uop(*rit);
+    // Scan back from the youngest store older than the load.
+    for (std::uint64_t i = u.olderStores; i > storeHead_;) {
+        const Uop &st = uop(windowStores_[--i & windowMask_]);
         if (!st.issued)
             continue; // address unknown; caller checked blocking
         bool overlap = st.effAddr < u.effAddr + u.memSize &&
@@ -414,42 +434,56 @@ OoOCore::doIssue(Cycle now)
         params_.fpUnits ? params_.fpUnits : ~0u,
         params_.memPorts ? params_.memPorts : ~0u,
     };
-    // One pass over the ready list in ascending seq (the order the
-    // former std::set iterated in), compacting out the entries that
-    // issue; blocked entries and everything past the issue-width
-    // budget stay, in order, without reallocating.
-    std::size_t out = 0;
-    for (std::size_t in = 0; in < readyList_.size(); ++in) {
-        InstSeq seq = readyList_[in];
-        if (issued >= params_.issueWidth) {
-            readyList_[out++] = seq;
-            continue;
-        }
+    // One pass over the ready list and the parked loads, merged in
+    // ascending seq, compacting out the entries that issue; entries
+    // that stay keep their order. unknownAddrStores_.front() only rises during the
+    // pass, so once a parked load is still blocked every younger one
+    // is too and the parked side stops there.
+    std::size_t r_in = 0, r_out = 0, p_in = 0, p_out = 0;
+    std::size_t p_end = parkedLoads_.size();
+    newlyParked_.clear();
+    while (issued < params_.issueWidth) {
+        bool has_r = r_in < readyList_.size();
+        bool has_p = p_in < p_end;
+        if (!has_r && !has_p)
+            break;
+        bool parked =
+            has_p && (!has_r || parkedLoads_[p_in] < readyList_[r_in]);
+        InstSeq seq = parked ? parkedLoads_[p_in++] : readyList_[r_in++];
         Uop &u = uop(seq);
         panic_if(u.issued, "ready list holds issued uop");
 
         if (u.isLoad && loadBlockedByStore(u)) {
-            ++stats_.memOrderStallEvents;
-            readyList_[out++] = seq;
+            if (parked)
+                p_end = --p_in;
+            else
+                newlyParked_.push_back(seq);
             continue;
         }
 
+        // A stalled entry stays on its list, in order.
+        auto stay = [&] {
+            if (parked)
+                parkedLoads_[p_out++] = seq;
+            else
+                readyList_[r_out++] = seq;
+        };
+
         if (u.isLoad && mshrStalled(u)) {
             ++stats_.mshrStallEvents;
-            readyList_[out++] = seq;
+            stay();
             continue;
         }
 
         if (u.isLoad && backendStalled(u)) {
             ++stats_.backendStallEvents;
-            readyList_[out++] = seq;
+            stay();
             continue;
         }
 
         unsigned pool = CoreParams::fuPool(u.cls);
         if (pool_left[pool] == 0) {
-            ++stats_.fuStallEvents;
-            readyList_[out++] = seq;
+            stay();
             continue;
         }
         --pool_left[pool];
@@ -470,7 +504,23 @@ OoOCore::doIssue(Cycle now)
         ++issued;
         tickProgressed_ = true;
     }
-    readyList_.resize(out);
+    // Close the gaps left by issued entries; everything not visited
+    // stays, in order.
+    readyList_.erase(readyList_.begin() + r_out,
+                     readyList_.begin() + r_in);
+    parkedLoads_.erase(parkedLoads_.begin() + p_out,
+                       parkedLoads_.begin() + p_in);
+    // Merge the newly parked loads in from the back; most are younger
+    // than every load already parked, so this is usually an append.
+    std::size_t i = parkedLoads_.size();
+    std::size_t j = newlyParked_.size();
+    parkedLoads_.resize(i + j);
+    for (std::size_t k = i + j; j > 0;) {
+        if (i > 0 && parkedLoads_[i - 1] > newlyParked_[j - 1])
+            parkedLoads_[--k] = parkedLoads_[--i];
+        else
+            parkedLoads_[--k] = newlyParked_[--j];
+    }
 }
 
 void
@@ -499,19 +549,15 @@ OoOCore::issueLoad(Uop &u, Cycle now)
 
     // In-flight line in the DCUB: the episode's one miss already
     // belongs to the fetch initiator; this access merges.
-    auto it = dcub_.find(u.lineAddr);
-    if (it != dcub_.end()) {
-        DcubEntry &e = it->second;
+    if (DcubEntry *e = findDcub(u.lineAddr)) {
         u.usesDcub = true;
         u.issueHit = true;
-        ++e.users;
+        ++e->users;
         ++stats_.loadIssueHits;
-        if (e.pending) {
-            u.waitingFill = true;
-            e.waiters.push_back(u.seq);
-        } else {
-            scheduleCompletion(u.seq, std::max(mnow + 1, e.readyAt));
-        }
+        if (e->pending)
+            e->waiters.push_back(u.seq);
+        else
+            scheduleCompletion(u.seq, std::max(mnow + 1, e->readyAt));
         return;
     }
 
@@ -527,47 +573,47 @@ OoOCore::issueLoad(Uop &u, Cycle now)
     u.issueHit = false;
     u.usesDcub = true;
     ++stats_.loadIssueMisses;
-    DcubEntry entry;
+    if (dcubLive_ == dcub_.size())
+        dcub_.emplace_back();
+    DcubEntry &entry = dcub_[dcubLive_++];
+    entry.line = u.lineAddr;
+    entry.claimed = false;
     entry.users = 1;
     FillResult fill = backend_.startLineFetch(u.lineAddr, mnow);
     if (fill.readyAt == cycleMax) {
         entry.pending = true;
-        u.waitingFill = true;
+        entry.readyAt = cycleMax;
         entry.waiters.push_back(u.seq);
     } else {
         entry.pending = false;
         entry.readyAt = fill.readyAt;
         scheduleCompletion(u.seq, std::max(mnow + 1, fill.readyAt));
     }
-    dcub_.emplace(u.lineAddr, std::move(entry));
-    stats_.maxDcubOccupancy =
-        std::max<std::uint64_t>(stats_.maxDcubOccupancy, dcub_.size());
 }
 
 void
 OoOCore::fillArrived(Addr line, Cycle ready_at, Cycle now)
 {
-    auto it = dcub_.find(line);
-    panic_if(it == dcub_.end(), "fill for 0x%llx without DCUB entry",
+    DcubEntry *e = findDcub(line);
+    panic_if(!e, "fill for 0x%llx without DCUB entry",
              (unsigned long long)line);
-    DcubEntry &e = it->second;
-    panic_if(!e.pending, "fill for non-pending DCUB entry 0x%llx",
+    panic_if(!e->pending, "fill for non-pending DCUB entry 0x%llx",
              (unsigned long long)line);
-    e.pending = false;
-    e.readyAt = std::max(ready_at, now + 1);
-    for (InstSeq seq : e.waiters) {
-        Uop &u = uop(seq);
-        u.waitingFill = false;
-        scheduleCompletion(seq, e.readyAt);
+    e->pending = false;
+    e->readyAt = std::max(ready_at, now + 1);
+    for (InstSeq seq : e->waiters) {
+        panic_if(!inWindow(seq), "fill waiter %llu not in window",
+                 (unsigned long long)seq);
+        scheduleCompletion(seq, e->readyAt);
     }
-    e.waiters.clear();
+    e->waiters.clear();
 }
 
 bool
 OoOCore::hasPendingFill(Addr line) const
 {
-    auto it = dcub_.find(line);
-    return it != dcub_.end() && it->second.pending;
+    const DcubEntry *e = findDcub(line);
+    return e && e->pending;
 }
 
 // -------------------------------------------------------------------
@@ -581,7 +627,7 @@ OoOCore::doFetch(Cycle now)
         return;
 
     for (unsigned f = 0; f < params_.fetchWidth; ++f) {
-        if (window_.size() >= params_.ruuEntries)
+        if (windowSize() >= params_.ruuEntries)
             return;
         if (!stream_.available(nextFetchSeq_)) {
             fetchEnded_ = true;
@@ -611,9 +657,14 @@ OoOCore::doFetch(Cycle now)
             }
         }
 
-        // Dispatch into the RUU.
-        Uop u;
-        u.seq = di.seq;
+        // Dispatch into the RUU: reset the ring slot in place, keeping
+        // the (empty) consumers vector's capacity.
+        InstSeq seq = di.seq;
+        Uop &u = window_[seq & windowMask_];
+        std::vector<InstSeq> consumers = std::move(u.consumers);
+        u = Uop{};
+        u.consumers = std::move(consumers);
+        u.seq = seq;
         u.inst = di.inst;
         u.cls = di.inst.info().opClass;
         u.isLoad = di.inst.isLoad();
@@ -623,33 +674,31 @@ OoOCore::doFetch(Cycle now)
             u.memSize = di.memSize;
             u.lineAddr = dcache_.lineAlign(di.effAddr);
         }
+        u.olderStores = storeTail_;
 
         RegIndex srcs[2];
         int nsrc = di.inst.srcRegs(srcs);
         for (int i = 0; i < nsrc; ++i) {
             InstSeq lw = lastWriter_[srcs[i]];
-            if (lw != 0 && lw - 1 >= windowBase_) {
+            if (lw != 0 && lw - 1 >= nextCommitSeq_) {
                 Uop &producer = uop(lw - 1);
                 if (!producer.completed) {
-                    producer.consumers.push_back(u.seq);
+                    producer.consumers.push_back(seq);
                     ++u.waitCount;
                 }
             }
         }
 
-        bool ready = (u.waitCount == 0);
-        InstSeq seq = u.seq;
         int dest = di.inst.destReg();
-        window_.push_back(std::move(u));
         if (dest >= 0)
             lastWriter_[dest] = seq + 1;
-        if (window_.back().isStore) {
-            windowStores_.push_back(seq);
+        if (u.isStore) {
+            windowStores_[storeTail_++ & windowMask_] = seq;
             unknownAddrStores_.push_back(seq);
         }
-        if (window_.back().isLoad || window_.back().isStore)
+        if (u.isLoad || u.isStore)
             ++lsqOccupancy_;
-        if (ready)
+        if (u.waitCount == 0)
             readyList_.push_back(seq); // seq is the window maximum
 
         ++nextFetchSeq_;

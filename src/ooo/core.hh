@@ -21,8 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -108,11 +106,8 @@ struct CoreStats
     std::uint64_t icacheMisses = 0;
     std::uint64_t dtlbMisses = 0;
     std::uint64_t itlbMisses = 0;
-    std::uint64_t memOrderStallEvents = 0;
-    std::uint64_t fuStallEvents = 0;
     std::uint64_t mshrStallEvents = 0;
     std::uint64_t backendStallEvents = 0; ///< backend flow control
-    std::uint64_t maxDcubOccupancy = 0;
 };
 
 /**
@@ -145,12 +140,6 @@ class OoOCore
     /** Next sequence number to commit (== instructions committed). */
     InstSeq committedSeq() const { return nextCommitSeq_; }
 
-    /** Next sequence number to fetch; with CoreParams::fetchWidth it
-     *  bounds the stream probes one tick can make (the parallel run
-     *  loop pre-extends the OracleStream past that bound so worker
-     *  threads only ever hit its read-only path). */
-    InstSeq fetchSeq() const { return nextFetchSeq_; }
-
     /**
      * A deferred line fill (broadcast) arrived; data usable at
      * @p ready_at. Must correspond to a pending DCUB entry.
@@ -173,11 +162,11 @@ class OoOCore
     }
 
     /** Number of in-flight instructions (RUU occupancy). */
-    std::size_t windowSize() const { return window_.size(); }
+    std::size_t windowSize() const { return nextFetchSeq_ - nextCommitSeq_; }
 
     /** In-flight DCUB lines (pending or unreleased fills); feeds the
      *  obs::Sampler dcub_depth timeline. */
-    std::size_t dcubOccupancy() const { return dcub_.size(); }
+    std::size_t dcubOccupancy() const { return dcubLive_; }
 
   private:
     /** An in-flight instruction (one RUU entry). */
@@ -200,12 +189,15 @@ class OoOCore
 
         bool issueHit = false;        ///< load issue-time outcome
         bool usesDcub = false;        ///< holds a DCUB user reference
-        bool waitingFill = false;     ///< blocked on a deferred fill
+        /** Stores dispatched before this uop (storeTail_ at
+         *  dispatch): the ordinals of the stores older than it. */
+        std::uint64_t olderStores = 0;
     };
 
     /** One in-flight line in the Data Commit Update Buffer. */
     struct DcubEntry
     {
+        Addr line = invalidAddr;
         bool pending = true;          ///< fill not yet arrived
         Cycle readyAt = cycleMax;
         bool claimed = false;         ///< matched to a canonical miss
@@ -218,7 +210,7 @@ class OoOCore
     {
         panic_if(!inWindow(seq), "uop %llu not in window",
                  (unsigned long long)seq);
-        return window_[seq - windowBase_];
+        return window_[seq & windowMask_];
     }
     const Uop &
     uop(InstSeq seq) const
@@ -228,8 +220,7 @@ class OoOCore
     bool
     inWindow(InstSeq seq) const
     {
-        return seq >= windowBase_ &&
-               seq < windowBase_ + window_.size();
+        return seq >= nextCommitSeq_ && seq < nextFetchSeq_;
     }
 
     void processCompletions(Cycle now);
@@ -244,7 +235,15 @@ class OoOCore
     void commitStore(Uop &u, Cycle now);
     void releaseDcubUser(Addr line);
 
-    /** @return blocking store seq, or -1 when the load may proceed. */
+    /** The live DCUB entry for @p line, or nullptr. */
+    DcubEntry *findDcub(Addr line);
+    const DcubEntry *
+    findDcub(Addr line) const
+    {
+        return const_cast<OoOCore *>(this)->findDcub(line);
+    }
+
+    /** True while an older store's address is still unknown. */
     bool loadBlockedByStore(const Uop &u) const;
     /** Load would start a new fill but all MSHR entries are taken. */
     bool mshrStalled(const Uop &u) const;
@@ -273,8 +272,12 @@ class OoOCore
     std::unique_ptr<mem::Cache> dtlb_;
     std::unique_ptr<mem::Cache> itlb_;
 
-    std::deque<Uop> window_;
-    InstSeq windowBase_ = 0;     ///< seq of window_.front()
+    /** The RUU as a ring indexed by seq & windowMask_; its size is
+     *  the next power of two >= ruuEntries. Live uops are the seqs
+     *  in [nextCommitSeq_, nextFetchSeq_). Dispatch resets a slot in
+     *  place, so each uop's consumers vector keeps its capacity. */
+    std::vector<Uop> window_;
+    InstSeq windowMask_ = 0;
     InstSeq nextFetchSeq_ = 0;
     InstSeq nextCommitSeq_ = 0;
     std::size_t lsqOccupancy_ = 0;
@@ -296,10 +299,21 @@ class OoOCore
                                            readyList_.end(), seq),
                           seq);
     }
+    /** Ready loads that found an older store with an unknown address,
+     *  ascending seq. They stay out of readyList_ so the issue scan
+     *  does not revisit them every cycle: all loads younger than a
+     *  blocked parked load are blocked too. */
+    std::vector<InstSeq> parkedLoads_;
+    /** Loads doIssue parked this pass (scratch, ascending seq). */
+    std::vector<InstSeq> newlyParked_;
     /** In-window stores not yet issued (address unknown), ascending
      *  seq; vector because inserts are always at the back. */
     std::vector<InstSeq> unknownAddrStores_;
-    std::deque<InstSeq> windowStores_;
+    /** In-window stores, a ring the size of window_ indexed by store
+     *  ordinal & windowMask_; ordinals [storeHead_, storeTail_). */
+    std::vector<InstSeq> windowStores_;
+    std::uint64_t storeHead_ = 0;
+    std::uint64_t storeTail_ = 0;
     /** Scheduled completions as a min-heap on (cycle, FIFO order) —
      *  pops in exactly the order the former map-of-vectors yielded. */
     struct CompletionEvent
@@ -323,7 +337,12 @@ class OoOCore
         completionEvents_;
     std::uint64_t completionOrder_ = 0;
 
-    std::map<Addr, DcubEntry> dcub_;
+    /** DCUB entries: [0, dcubLive_) are live, in no particular
+     *  order; the slots past them are kept so each waiters vector
+     *  keeps its capacity. Occupancy is small (a few lines), so a
+     *  linear search beats a tree. */
+    std::vector<DcubEntry> dcub_;
+    std::size_t dcubLive_ = 0;
 
     Cycle fetchStallUntil_ = 0;
     /** Whether the latest tick() completed, committed, issued, or

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/main_memory.hh"
+#include "local_backend.hh"
 #include "ooo/core.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
@@ -14,38 +14,6 @@ namespace {
 using namespace prog::reg;
 using prog::Assembler;
 using prog::Program;
-
-/** All-local memory backend (everything behind one bank array). */
-class LocalBackend : public MemBackend
-{
-  public:
-    explicit LocalBackend(const mem::MainMemoryParams &p) : mem_(p) {}
-
-    FillResult
-    startLineFetch(Addr line, Cycle now) override
-    {
-        ++fetches;
-        return {mem_.request(line, now), false};
-    }
-    void onUnclaimedCanonicalMiss(Addr, Cycle) override { ++repairs; }
-    void writeBack(Addr, Cycle) override { ++writeBacks; }
-    void storeMiss(Addr, Cycle) override { ++storeMisses; }
-    Cycle
-    fetchInstLine(Addr line, Cycle now) override
-    {
-        ++instFetches;
-        return mem_.request(line, now);
-    }
-
-    std::uint64_t fetches = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t writeBacks = 0;
-    std::uint64_t storeMisses = 0;
-    std::uint64_t instFetches = 0;
-
-  private:
-    mem::MainMemory mem_;
-};
 
 struct CoreRun
 {
@@ -366,6 +334,89 @@ TEST(OoOCore, TruncatedRunFinishesWithSingleEntryWindow)
     tiny.commitWidth = 1;
     CoreRun r = runCore(p, tiny, 50);
     EXPECT_EQ(r.stats.committed, 50u);
+}
+
+/**
+ * Memory-order issue: store A's address waits on a two-deep IntDiv
+ * chain while younger independent loads and ALU ops are ready. The
+ * loads must wait for A; the ALU ops and store B (whose address is
+ * ready after one IntMul) go ahead. When A finally issues, the loads
+ * parked behind it issue in that same pass, one of them forwarding
+ * from A, and a load after B forwards from B.
+ */
+Program
+memoryOrderLoop(int iters)
+{
+    Program p;
+    Addr g = p.allocGlobal(4096);
+    Assembler a(p);
+    a.la(s1, g);
+    a.li(s2, 3);
+    a.li(s0, iters);
+    a.label("loop");
+    a.div(t0, s0, s2);
+    a.div(t0, t0, s2);
+    a.sub(t0, t0, t0); // 0, known only once the chain completes
+    a.add(t1, s1, t0);
+    a.sw(s0, t1, 0); // store A
+    for (int i = 0; i < 6; ++i) {
+        a.lw(static_cast<RegIndex>(t2 + (i % 4)), s1, 64 * (i + 1));
+        a.addi(static_cast<RegIndex>(s3 + (i % 4)), zero, i);
+    }
+    a.lw(t6, s1, 0); // forwards from store A
+    a.mul(t7, s2, s2);
+    a.sub(t7, t7, t7);
+    a.add(t7, s1, t7);
+    a.sw(s0, t7, 512); // store B
+    a.lw(t6, s1, 512); // forwards from store B
+    a.lw(t6, s1, 1024);
+    a.addi(s0, s0, -1);
+    a.bne(s0, zero, "loop");
+    a.halt();
+    a.finalize();
+    return p;
+}
+
+TEST(OoOCore, MemoryOrderIssueIsPinned)
+{
+    // Pinned from the build whose issue stage rescanned every blocked
+    // load each cycle: parking blocked loads must not move a cycle.
+    // ruuEntries 3 and 100 are not powers of two (the RUU ring is).
+    struct Case
+    {
+        unsigned ruu;
+        Cycle cycles;
+        std::uint64_t loadIssueHits;
+        std::uint64_t forwardedLoads;
+    };
+    const Case cases[] = {
+        {256, 209, 352, 47},
+        {100, 343, 352, 40},
+        {3, 2162, 351, 0},
+    };
+    Program p = memoryOrderLoop(40);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.ruu);
+        CoreParams params;
+        params.ruuEntries = c.ruu;
+        params.lsqEntries = std::max(1u, c.ruu / 2);
+        func::FuncSim sim(p);
+        OracleStream stream(sim, 0);
+        LocalBackend backend{mem::MainMemoryParams{}};
+        OoOCore core(params, stream, backend);
+        Cycle now = 0;
+        std::size_t max_window = 0;
+        for (; !core.done() && now < 1'000'000; ++now) {
+            core.tick(now);
+            max_window = std::max(max_window, core.windowSize());
+        }
+        ASSERT_TRUE(core.done());
+        EXPECT_LE(max_window, c.ruu);
+        EXPECT_EQ(core.coreStats().committed, 3u + 40u * 26u + 1u);
+        EXPECT_EQ(now, c.cycles);
+        EXPECT_EQ(core.coreStats().loadIssueHits, c.loadIssueHits);
+        EXPECT_EQ(core.coreStats().forwardedLoads, c.forwardedLoads);
+    }
 }
 
 TEST(OoOCore, FpLatenciesSlowDependentChain)
