@@ -10,11 +10,7 @@ namespace baseline {
 PerfectSystem::PerfectSystem(
     const prog::Program &program, const core::SimConfig &config,
     std::shared_ptr<const func::InstTrace> trace)
-    : config_(config), oracle_(ooo::makeOracle(program, trace)),
-      replayOutput_(trace ? trace->outputPrefix(config.maxInsts)
-                          : std::string()),
-      stream_(ooo::makeStream(oracle_.get(), std::move(trace),
-                              config.maxInsts)),
+    : config_(config), stream_(program, std::move(trace), config.maxInsts),
       localMem_(config.mem),
       core_([&config] {
           ooo::CoreParams p = config.core;

@@ -20,7 +20,6 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "stats/snapshot.hh"
-#include "func/func_sim.hh"
 #include "func/inst_trace.hh"
 #include "mem/main_memory.hh"
 #include "ooo/core.hh"
@@ -45,18 +44,11 @@ class PerfectSystem : private ooo::MemBackend
     core::RunResult run();
 
     const ooo::OoOCore &core() const { return core_; }
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output of the executed prefix, either backend. */
+    /** Program output of the executed prefix. */
     const std::string &
     output() const
     {
-        return oracle_ ? oracle_->output() : replayOutput_;
+        return stream_.output();
     }
 
     /** Emit core disparity events to exactly @p sink, replacing any
@@ -88,8 +80,6 @@ class PerfectSystem : private ooo::MemBackend
     Cycle fetchInstLine(Addr line, Cycle now) override;
 
     core::SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
     ooo::OracleStream stream_;
     mem::MainMemory localMem_;
     ooo::OoOCore core_;

@@ -21,7 +21,6 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "stats/snapshot.hh"
-#include "func/func_sim.hh"
 #include "func/inst_trace.hh"
 #include "interconnect/bus.hh"
 #include "mem/main_memory.hh"
@@ -57,18 +56,11 @@ class TraditionalSystem : private ooo::MemBackend
 
     const ooo::OoOCore &core() const { return core_; }
     const interconnect::Bus &bus() const { return bus_; }
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output of the executed prefix, either backend. */
+    /** Program output of the executed prefix. */
     const std::string &
     output() const
     {
-        return oracle_ ? oracle_->output() : replayOutput_;
+        return stream_.output();
     }
 
     std::uint64_t offChipReads() const { return offChipReads_; }
@@ -109,8 +101,6 @@ class TraditionalSystem : private ooo::MemBackend
     Cycle offChipLineRead(Addr line, Cycle now);
 
     core::SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
     ooo::OracleStream stream_;
     mem::PageTable ptable_;
     interconnect::Bus bus_;

@@ -239,7 +239,6 @@ describeConfig(const TrialConfig &c)
        << "way" << (c.writeAllocate ? "/wa" : "")
        << " ed=" << (c.eventDriven ? 1 : 0)
        << " xed=" << (c.crossEventDriven ? 1 : 0)
-       << " xreplay=" << (c.crossReplay ? 1 : 0)
        << " faults=" << (c.faults ? 1 : 0)
        << " hardbshr=" << (c.hardBshr ? 1 : 0)
        << " bshrcap=" << c.bshrCapacity
@@ -337,7 +336,6 @@ Oracle::sampleConfig(Random &rng) const
 
     c.eventDriven = !rng.chance(0.25);
     c.crossEventDriven = rng.chance(0.25);
-    c.crossReplay = rng.chance(0.35);
     // Drawn unconditionally so configuring a trace store never
     // reshuffles the rest of the config stream for a given seed.
     bool diskReplay = rng.chance(0.25);
@@ -351,6 +349,10 @@ Oracle::sampleConfig(Random &rng) const
             c.bshrCapacity = 4u << rng.below(3); // 4 / 8 / 16
         else if (rng.chance(0.1))
             c.bshrCapacity = 8; // soft overflow reporting path
+        // Recovery timers and flow-control stalls are where the two
+        // run-loop modes can part, so these configs always run both.
+        if (c.faults || c.hardBshr)
+            c.crossEventDriven = true;
     }
     c.maxInsts =
         rng.chance(0.3) ? 2'000 + rng.below(8'000) : InstSeq(0);
@@ -382,25 +384,12 @@ Oracle::checkConfig(const prog::Program &program,
     };
 
     ++stats_.timingRuns;
-    RunOutcome live = run(cfg, nullptr);
-    if (!live.invariantError.empty())
-        return fail(live, live.invariantError);
-    std::string err = checkAgainstGolden(live, golden, cfg);
+    RunOutcome base = run(cfg, nullptr);
+    if (!base.invariantError.empty())
+        return fail(base, base.invariantError);
+    std::string err = checkAgainstGolden(base, golden, cfg);
     if (!err.empty())
-        return fail(live, err);
-
-    if (config.crossReplay) {
-        ++stats_.timingRuns;
-        RunOutcome rep = run(cfg, golden.trace);
-        if (!rep.invariantError.empty())
-            return fail(rep, "trace-replay run: " + rep.invariantError);
-        err = checkAgainstGolden(rep, golden, cfg);
-        if (!err.empty())
-            return fail(rep, "trace-replay run: " + err);
-        err = compareOutcomes(live, rep, "trace-replay vs live");
-        if (!err.empty())
-            return fail(rep, err);
-    }
+        return fail(base, err);
 
     if (!config.traceDir.empty()) {
         // Disk round trip: save the golden trace, mmap-load it back
@@ -427,7 +416,7 @@ Oracle::checkConfig(const prog::Program &program,
         err = checkAgainstGolden(rep, golden, cfg);
         if (!err.empty())
             return fail(rep, "disk-replay run: " + err);
-        err = compareOutcomes(live, rep, "disk-replay vs live");
+        err = compareOutcomes(base, rep, "disk-replay vs capture");
         if (!err.empty())
             return fail(rep, err);
     }
@@ -441,7 +430,7 @@ Oracle::checkConfig(const prog::Program &program,
             return fail(other,
                         "flipped run-loop mode: " +
                             other.invariantError);
-        err = compareOutcomes(live, other,
+        err = compareOutcomes(base, other,
                               cfg.eventDriven
                                   ? "event-driven vs single-stepping"
                                   : "single-stepping vs event-driven");

@@ -6,9 +6,9 @@
  * golden architectural model (captured as a func::InstTrace), then
  * through a sampled matrix of timing configurations — system family
  * × node count × interconnect × cache geometry × event-driven
- * on/off × tick-thread count × trace replay on/off × fault
- * injection / hard BSHR capacity on/off — and every run is checked
- * against the golden stream and the protocol invariants:
+ * on/off × trace-store round trip on/off × fault injection / hard
+ * BSHR capacity on/off — and every run is checked against the
+ * golden stream and the protocol invariants:
  *
  *  - SPSD: every run retires exactly the golden instruction count
  *    (clipped by the budget) and reports the golden syscall output
@@ -22,10 +22,11 @@
  *    left behind.
  *  - Cache correspondence: canonical load misses, commit-time store
  *    misses, and dirty write-backs identical on every node.
- *  - Differential cross-checks: a trace-replay run must be
- *    cycle-and-stats identical to the live run, an event-driven
- *    run identical to the single-stepping run, and a parallel-tick
- *    run identical to the serial loop, for the same config.
+ *  - Differential cross-checks: an event-driven run must be
+ *    cycle-and-stats identical to the single-stepping run (always
+ *    checked when faults or hard BSHR capacity are drawn), and a
+ *    replay of the trace saved to and loaded from disk identical to
+ *    the capturing run, for the same config.
  *
  * On failure the harness (tools/dsfuzz.cc) shrinks the generation
  * parameters to a minimal still-failing case and writes a repro
@@ -71,14 +72,11 @@ struct TrialConfig
     /** Also run the opposite run-loop mode and require identical
      *  cycles / stats. */
     bool crossEventDriven = false;
-    /** Also replay the golden trace through the same config and
-     *  require identical cycles / output / stats. */
-    bool crossReplay = false;
     /** When non-empty: persist the golden trace into this directory
      *  (func::saveTraceFile), mmap-load it back, and replay the
      *  loaded copy through the same config, requiring identical
      *  cycles / output / stats. Catches trace-store serialization
-     *  bugs the in-memory crossReplay differential cannot see. */
+     *  bugs an in-memory run cannot see. */
     std::string traceDir;
 
     /** Drop/dup/delay fault injection with re-request recovery

@@ -59,7 +59,6 @@ formatRepro(const ReproCase &r)
     emit(os, "write_allocate", c.writeAllocate ? 1 : 0);
     emit(os, "event_driven", c.eventDriven ? 1 : 0);
     emit(os, "cross_event_driven", c.crossEventDriven ? 1 : 0);
-    emit(os, "cross_replay", c.crossReplay ? 1 : 0);
     emit(os, "faults", c.faults ? 1 : 0);
     emit(os, "hard_bshr", c.hardBshr ? 1 : 0);
     emit(os, "faults_no_recovery", c.faultsNoRecovery ? 1 : 0);
@@ -191,8 +190,6 @@ parseRepro(std::istream &in, ReproCase &out, std::string &error)
             r.config.eventDriven = v != 0;
         else if (key == "cross_event_driven")
             r.config.crossEventDriven = v != 0;
-        else if (key == "cross_replay")
-            r.config.crossReplay = v != 0;
         else if (key == "faults")
             r.config.faults = v != 0;
         else if (key == "hard_bshr")

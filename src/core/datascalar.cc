@@ -12,11 +12,7 @@ DataScalarSystem::DataScalarSystem(
     const prog::Program &program, const SimConfig &config,
     mem::PageTable ptable,
     std::shared_ptr<const func::InstTrace> trace)
-    : config_(config), oracle_(ooo::makeOracle(program, trace)),
-      replayOutput_(trace ? trace->outputPrefix(config.maxInsts)
-                          : std::string()),
-      stream_(ooo::makeStream(oracle_.get(), std::move(trace),
-                              config.maxInsts)),
+    : config_(config), stream_(program, std::move(trace), config.maxInsts),
       ptable_(std::move(ptable)),
       bus_(config.bus), ring_(config.numNodes, config.ring),
       faults_(config.fault),

@@ -19,7 +19,6 @@
 #include "core/node.hh"
 #include "core/run_loop.hh"
 #include "core/sim_config.hh"
-#include "func/func_sim.hh"
 #include "func/inst_trace.hh"
 #include "interconnect/bus.hh"
 #include "interconnect/fault_model.hh"
@@ -41,8 +40,8 @@ class DataScalarSystem : public BroadcastPort
      * @param trace optional captured dynamic stream: when non-null
      *        the run replays it instead of executing the program
      *        functionally (byte-identical results, see
-     *        driver::TraceCache); when null a private FuncSim
-     *        oracle produces the stream live.
+     *        driver::TraceCache); when null the stream captures
+     *        the program chunk by chunk as the run goes.
      */
     DataScalarSystem(const prog::Program &program, const SimConfig &config,
                      mem::PageTable ptable,
@@ -62,19 +61,11 @@ class DataScalarSystem : public BroadcastPort
     /** Pages held in node @p id's local memory (owned + replicated),
      *  the per-node capacity an IRAM part would need. */
     std::size_t localPageCount(NodeId id) const;
-    /** The live functional oracle; only valid when not replaying. */
-    const func::FuncSim &
-    oracle() const
-    {
-        panic_if(!oracle_, "trace-replay run has no live oracle");
-        return *oracle_;
-    }
-    /** Program output (Print* syscalls) of the executed prefix,
-     *  regardless of backend. */
+    /** Program output (Print* syscalls) of the executed prefix. */
     const std::string &
     output() const
     {
-        return oracle_ ? oracle_->output() : replayOutput_;
+        return stream_.output();
     }
     const mem::PageTable &pageTable() const { return ptable_; }
 
@@ -173,8 +164,6 @@ class DataScalarSystem : public BroadcastPort
     struct LoopPort;
 
     SimConfig config_;
-    std::unique_ptr<func::FuncSim> oracle_; ///< null when replaying
-    std::string replayOutput_;
     ooo::OracleStream stream_;
     mem::PageTable ptable_;
     interconnect::Bus bus_;

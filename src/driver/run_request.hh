@@ -205,7 +205,7 @@ stats::RunMeta runMeta(const RunRequest &req);
  * scale)), else a fresh registry build; the replayed trace from
  * @ref RunRequest::trace, else @p cache (or a private cache over
  * @ref RunRequest::traceDir) for registered workloads, else the run
- * executes live. Unknown workloads and unwritable perfetto
+ * captures the stream chunk by chunk as it goes. Unknown workloads and unwritable perfetto
  * paths come back as RunResponse::error rather than aborting (the
  * serving path must survive bad requests).
  */

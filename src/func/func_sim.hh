@@ -2,12 +2,14 @@
  * @file
  * Execution-driven functional simulator.
  *
- * Serves three roles, mirroring SimpleScalar's split in the paper:
- *  1. architectural oracle — computes the one true dynamic
- *     instruction stream that every DataScalar node commits (SPSD);
- *  2. trace source for the in-order cache studies (Tables 1-2),
- *     through func::InstTrace::capture;
- *  3. correctness reference for the timing simulators (final state
+ * Serves two roles, mirroring SimpleScalar's split in the paper:
+ *  1. architectural oracle — through func::TraceCapture, the one
+ *     producer of the true dynamic instruction stream that every
+ *     DataScalar node commits (SPSD). The stream is captured whole
+ *     into a func::InstTrace (sweeps, the trace store, the in-order
+ *     cache studies of Tables 1-2) or chunk by chunk by a timing
+ *     run's ooo::OracleStream;
+ *  2. correctness reference for the timing simulators (final state
  *     and syscall output must match).
  */
 

@@ -90,52 +90,57 @@ InstTrace::fromParts(Parts &&parts)
 std::shared_ptr<const InstTrace>
 InstTrace::capture(const prog::Program &program, InstSeq max_insts)
 {
-    FuncSim sim(program);
-    auto trace = std::shared_ptr<InstTrace>(new InstTrace());
+    TraceCapture cap(program, max_insts);
+    Parts parts;
+    while (auto chunk = cap.next())
+        parts.chunks.push_back(std::move(chunk));
+    parts.length = cap.captured();
+    parts.halted = cap.halted();
+    parts.output = cap.output();
+    parts.outputMarks = cap.outputMarks();
+    return fromParts(std::move(parts));
+}
 
-    std::shared_ptr<Chunk> cur;
+TraceCapture::TraceCapture(const prog::Program &program,
+                           InstSeq max_insts)
+    : sim_(program),
+      budget_(max_insts ? max_insts : ~static_cast<InstSeq>(0))
+{
+}
+
+std::shared_ptr<const InstTrace::Chunk>
+TraceCapture::next()
+{
+    if (sim_.halted() || captured_ >= budget_)
+        return nullptr;
+    auto c = std::make_shared<InstTrace::Chunk>();
+    std::size_t want = static_cast<std::size_t>(
+        std::min(budget_ - captured_, InstTrace::kChunkRecords));
+    c->pcStore.reserve(want);
+    c->wordStore.reserve(want);
+    c->effAddrStore.reserve(want);
+    c->memSizeStore.reserve(want);
+    c->nextPcStore.reserve(want);
     DynInst rec;
-    InstSeq n = 0;
-    std::size_t out_len = 0;
-    InstSeq budget = max_insts ? max_insts : ~static_cast<InstSeq>(0);
-    while (n < budget && sim.step(&rec)) {
-        if (!cur || cur->pcStore.size() == kChunkRecords) {
-            if (cur) {
-                cur->seal();
-                trace->chunks_.push_back(std::move(cur));
-            }
-            cur = std::make_shared<Chunk>();
-            std::size_t reserve = static_cast<std::size_t>(
-                std::min(budget - n, kChunkRecords));
-            cur->pcStore.reserve(reserve);
-            cur->wordStore.reserve(reserve);
-            cur->effAddrStore.reserve(reserve);
-            cur->memSizeStore.reserve(reserve);
-            cur->nextPcStore.reserve(reserve);
-        }
-        cur->pcStore.push_back(rec.pc);
+    std::size_t out_len = sim_.output().size();
+    while (c->pcStore.size() < want && sim_.step(&rec)) {
+        c->pcStore.push_back(rec.pc);
         // encode() round-trips through decode(), so the stored word
         // reproduces the retired instruction exactly.
-        cur->wordStore.push_back(isa::encode(rec.inst));
-        cur->effAddrStore.push_back(rec.effAddr);
-        cur->memSizeStore.push_back(
+        c->wordStore.push_back(isa::encode(rec.inst));
+        c->effAddrStore.push_back(rec.effAddr);
+        c->memSizeStore.push_back(
             static_cast<std::uint8_t>(rec.memSize));
-        cur->nextPcStore.push_back(rec.nextPc);
-        if (sim.output().size() != out_len) {
-            out_len = sim.output().size();
-            trace->outputMarks_.push_back(
-                OutputMark{n, static_cast<std::uint64_t>(out_len)});
+        c->nextPcStore.push_back(rec.nextPc);
+        if (sim_.output().size() != out_len) {
+            out_len = sim_.output().size();
+            marks_.push_back(InstTrace::OutputMark{
+                captured_, static_cast<std::uint64_t>(out_len)});
         }
-        ++n;
+        ++captured_;
     }
-    if (cur) {
-        cur->seal();
-        trace->chunks_.push_back(std::move(cur));
-    }
-    trace->length_ = n;
-    trace->halted_ = sim.halted();
-    trace->output_ = sim.output();
-    return trace;
+    c->seal();
+    return c;
 }
 
 } // namespace func

@@ -23,6 +23,13 @@
  * read-only file mapping, with `backing` keeping the mapping alive
  * until the last borrowed chunk is released — so loading a multi-GB
  * trace costs O(pages touched), never a copy.
+ *
+ * func::TraceCapture is the one producer of owned chunks: a FuncSim
+ * whose stream comes out one sealed chunk per next() call.
+ * InstTrace::capture drains it into a whole trace, and an
+ * ooo::OracleStream without a trace pulls from it on demand, so a
+ * long one-shot run never holds more than the chunks its slowest
+ * consumer has not passed.
  */
 
 #ifndef DSCALAR_FUNC_INST_TRACE_HH
@@ -77,7 +84,7 @@ class InstTrace
         bool borrowed() const { return backing != nullptr; }
 
         /** Expand record @p i of this chunk (sequence @p seq) into
-         *  the DynInst a live FuncSim step would have produced. */
+         *  the DynInst the capturing FuncSim step produced. */
         void
         expand(std::size_t i, InstSeq seq, DynInst &out) const
         {
@@ -113,10 +120,11 @@ class InstTrace
     };
 
     /**
-     * Capture @p program's dynamic stream with one functional run,
-     * executing @p max_insts instructions or to completion
-     * (max_insts == 0). The trace also keeps the run's syscall
-     * output so replayed systems can report it without re-executing.
+     * Capture @p program's dynamic stream with one functional run
+     * (a drained TraceCapture), executing @p max_insts instructions
+     * or to completion (max_insts == 0). The trace also keeps the
+     * run's syscall output so replayed systems can report it without
+     * re-executing.
      */
     static std::shared_ptr<const InstTrace>
     capture(const prog::Program &program, InstSeq max_insts = 0);
@@ -156,8 +164,8 @@ class InstTrace
     /**
      * Bytes written by the first @p max_insts captured records
      * (0 = the whole capture), so a replay truncated below the
-     * capture budget reports exactly what a live run at that budget
-     * would have printed.
+     * capture budget reports exactly what a run stopped at that
+     * budget would have printed.
      */
     std::string outputPrefix(InstSeq max_insts) const;
 
@@ -207,6 +215,43 @@ class InstTrace
     bool halted_ = false;
     std::string output_;
     std::vector<OutputMark> outputMarks_;
+};
+
+/**
+ * Incremental capture: a FuncSim run whose dynamic stream comes out
+ * as sealed InstTrace chunks of kChunkRecords records (the last one
+ * may be shorter), with the output watermarks recorded as it goes.
+ */
+class TraceCapture
+{
+  public:
+    /** Capture @p program for @p max_insts instructions, or to
+     *  completion when max_insts == 0. */
+    explicit TraceCapture(const prog::Program &program,
+                          InstSeq max_insts = 0);
+
+    /** The next chunk of the stream; null once the program halted
+     *  or the budget is spent. */
+    std::shared_ptr<const InstTrace::Chunk> next();
+
+    /** Records captured so far. */
+    InstSeq captured() const { return captured_; }
+    /** True once the halt record has been captured. */
+    bool halted() const { return sim_.halted(); }
+    /** Bytes printed by the records captured so far. */
+    const std::string &output() const { return sim_.output(); }
+    /** Watermarks of the records captured so far (ascending seq). */
+    const std::vector<InstTrace::OutputMark> &
+    outputMarks() const
+    {
+        return marks_;
+    }
+
+  private:
+    FuncSim sim_;
+    InstSeq budget_;
+    InstSeq captured_ = 0;
+    std::vector<InstTrace::OutputMark> marks_;
 };
 
 } // namespace func

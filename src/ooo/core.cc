@@ -469,14 +469,18 @@ OoOCore::doIssue(Cycle now)
                 readyList_[r_out++] = seq;
         };
 
+        // Each stalled load counts once: the number of issue passes
+        // that see it would depend on the run-loop mode.
         if (u.isLoad && mshrStalled(u)) {
-            ++stats_.mshrStallEvents;
+            stats_.mshrStallEvents += !u.mshrStallCounted;
+            u.mshrStallCounted = true;
             stay();
             continue;
         }
 
         if (u.isLoad && backendStalled(u)) {
-            ++stats_.backendStallEvents;
+            stats_.backendStallEvents += !u.backendStallCounted;
+            u.backendStallCounted = true;
             stay();
             continue;
         }

@@ -106,8 +106,12 @@ struct CoreStats
     std::uint64_t icacheMisses = 0;
     std::uint64_t dtlbMisses = 0;
     std::uint64_t itlbMisses = 0;
+    /** Loads that stalled at issue on full MSHRs (each counted
+     *  once, however many issue passes it waited). */
     std::uint64_t mshrStallEvents = 0;
-    std::uint64_t backendStallEvents = 0; ///< backend flow control
+    /** Loads that stalled at issue on backend flow control (hard
+     *  BSHR capacity), each counted once. */
+    std::uint64_t backendStallEvents = 0;
 };
 
 /**
@@ -189,6 +193,8 @@ class OoOCore
 
         bool issueHit = false;        ///< load issue-time outcome
         bool usesDcub = false;        ///< holds a DCUB user reference
+        bool mshrStallCounted = false;    ///< in mshrStallEvents
+        bool backendStallCounted = false; ///< in backendStallEvents
         /** Stores dispatched before this uop (storeTail_ at
          *  dispatch): the ordinals of the stores older than it. */
         std::uint64_t olderStores = 0;

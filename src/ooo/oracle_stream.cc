@@ -7,42 +7,51 @@
 namespace dscalar {
 namespace ooo {
 
-OracleStream::OracleStream(
-    std::shared_ptr<const func::InstTrace> trace, InstSeq max_insts)
-    : replay_(true)
+OracleStream::OracleStream(const prog::Program &program,
+                           std::shared_ptr<const func::InstTrace> trace,
+                           InstSeq max_insts)
+    : stopAt_(max_insts ? max_insts : ~static_cast<InstSeq>(0))
 {
-    panic_if(!trace, "replay stream needs a trace");
-    // A budget-truncated capture only stands in for a live run whose
-    // budget it covers; replaying it further would silently simulate
-    // fewer instructions than the live run and skew every number.
+    if (!trace) {
+        capture_ = std::make_unique<func::TraceCapture>(program,
+                                                        max_insts);
+        return;
+    }
+    // A budget-truncated capture only stands in for a run whose
+    // budget it covers; expanding it further would silently simulate
+    // fewer instructions than asked for and skew every number.
     panic_if(!trace->programHalted() &&
                  (max_insts == 0 || max_insts > trace->length()),
              "trace of %llu records (program not halted) cannot "
              "cover a max_insts=%llu run",
              (unsigned long long)trace->length(),
              (unsigned long long)max_insts);
-    maxInsts_ = max_insts;
-    replayEnd_ = max_insts ? std::min(trace->length(), max_insts)
-                           : trace->length();
-    // The stream ends in a program halt (rather than an instruction
-    // budget) only when the whole captured run is replayed and the
-    // capture itself ran to completion.
-    replayHalts_ =
-        replayEnd_ == trace->length() && trace->programHalted();
+    traceHalts_ = trace->programHalted() && trace->length() <= stopAt_;
+    traceOutput_ = trace->outputPrefix(max_insts);
     traceChunks_.reserve(trace->numChunks());
     for (std::size_t i = 0; i < trace->numChunks(); ++i)
         traceChunks_.push_back(trace->chunk(i));
-    // The trace itself is not retained: once every consumer trims
-    // past a chunk (and any cache lets the trace go), its memory is
-    // freed even while later chunks are still being replayed.
+    // The trace itself is not retained: once a chunk is expanded (and
+    // any cache lets the trace go), its memory is freed even while
+    // later chunks are still to come.
 }
 
-std::vector<func::DynInst> &
-OracleStream::newChunk(std::size_t records)
+std::shared_ptr<const func::InstTrace::Chunk>
+OracleStream::nextSourceChunk()
 {
-    chunks_.emplace_back();
-    chunks_.back().reserve(records);
-    return chunks_.back();
+    if (capture_)
+        return capture_->next();
+    if (nextTraceChunk_ == traceChunks_.size())
+        return nullptr;
+    return std::move(traceChunks_[nextTraceChunk_++]);
+}
+
+bool
+OracleStream::sourceHalted() const
+{
+    return capture_ ? capture_->halted()
+                    : traceHalts_ &&
+                          nextTraceChunk_ == traceChunks_.size();
 }
 
 bool
@@ -53,58 +62,30 @@ OracleStream::extend(InstSeq seq)
              (unsigned long long)seq,
              (unsigned long long)chunkStart_);
 
-    if (replay_) {
-        while (!ended_ && seq >= limit_) {
-            if (limit_ >= replayEnd_) {
-                // Budget truncation (or a fully consumed trace) is
-                // only discovered by probing past the end, exactly
-                // like the live backend.
-                ended_ = true;
-                end_ = replayEnd_;
-                break;
-            }
-            std::size_t ci =
-                static_cast<std::size_t>(limit_ >> kChunkShift);
-            InstSeq chunk_end = std::min(
-                replayEnd_, (static_cast<InstSeq>(ci) + 1)
-                                << kChunkShift);
-            std::size_t n =
-                static_cast<std::size_t>(chunk_end - limit_);
-            const func::InstTrace::Chunk &src = *traceChunks_[ci];
-            std::vector<func::DynInst> &dst = newChunk(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                dst.emplace_back();
-                src.expand(i, limit_ + i, dst.back());
-            }
-            limit_ = chunk_end;
-            if (limit_ == replayEnd_ && replayHalts_) {
-                // The halt record is buffered: the end is known, as
-                // it would be once a live FuncSim retires HALT.
-                ended_ = true;
-                end_ = replayEnd_;
-            }
-        }
-        return seq < limit_;
-    }
-
     while (!ended_ && seq >= limit_) {
-        if (maxInsts_ != 0 && limit_ >= maxInsts_) {
-            ended_ = true;
-            end_ = maxInsts_;
-            break;
-        }
-        func::DynInst rec;
-        if (!sim_->step(&rec)) {
+        std::shared_ptr<const func::InstTrace::Chunk> src =
+            limit_ < stopAt_ ? nextSourceChunk() : nullptr;
+        if (!src) {
+            // Budget truncation (or an exhausted source) is only
+            // discovered by probing past the end.
             ended_ = true;
             end_ = limit_;
             break;
         }
-        if (chunks_.empty() ||
-            chunks_.back().size() == kChunkRecords)
-            newChunk(static_cast<std::size_t>(kChunkRecords));
-        chunks_.back().push_back(rec);
-        ++limit_;
-        if (sim_->halted()) {
+        panic_if(limit_ & kChunkMask,
+                 "source chunk at record %llu follows a partial one",
+                 (unsigned long long)limit_);
+        std::size_t n = static_cast<std::size_t>(
+            std::min<InstSeq>(src->size(), stopAt_ - limit_));
+        chunks_.emplace_back();
+        std::vector<func::DynInst> &dst = chunks_.back();
+        dst.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            src->expand(i, limit_ + i, dst.emplace_back());
+        limit_ += n;
+        if (n == src->size() && sourceHalted()) {
+            // The halt record is buffered: the end is known without
+            // a probe past it.
             ended_ = true;
             end_ = limit_;
         }
@@ -115,18 +96,10 @@ OracleStream::extend(InstSeq seq)
 void
 OracleStream::trim(InstSeq min_seq)
 {
-    // Whole chunks only; the partial tail chunk (live append target)
-    // always stays.
-    while (!chunks_.empty() &&
-           chunks_.front().size() == kChunkRecords &&
-           chunkStart_ + kChunkRecords <= min_seq) {
+    // Whole chunks only. A partial chunk is the stream's last, and
+    // no consumer can be a whole chunk past its start.
+    while (!chunks_.empty() && chunkStart_ + kChunkRecords <= min_seq) {
         chunks_.pop_front();
-        if (replay_) {
-            std::size_t ci = static_cast<std::size_t>(
-                chunkStart_ >> kChunkShift);
-            if (ci < traceChunks_.size())
-                traceChunks_[ci].reset();
-        }
         chunkStart_ += kChunkRecords;
     }
 }

@@ -8,17 +8,18 @@
  * (Section 4.2), and the SPSD property that all DataScalar nodes
  * execute the identical instruction stream.
  *
- * Two backends produce the records:
- *  - live: a func::FuncSim executes the program as consumers extend
- *    the window (capture and single-shot runs);
- *  - replay: a previously captured func::InstTrace is expanded
- *    chunk-by-chunk, so a sweep re-running the same workload never
- *    re-executes it functionally (see driver::TraceCache).
+ * The records come from one producer, chunk by chunk: each
+ * func::InstTrace::Chunk is expanded into buffered DynInst records
+ * and dropped. A stream built without a trace owns a
+ * func::TraceCapture that executes the program one chunk ahead of
+ * the fastest consumer (one-shot runs); a stream built over a
+ * captured func::InstTrace takes its chunks from that trace, so a
+ * sweep re-running the same workload never re-executes it
+ * functionally (see driver::TraceCache).
  *
  * Buffered records live in fixed-size chunks; trim() releases whole
- * chunks once every consumer is past them, and in replay mode also
- * drops the per-chunk reference into the shared trace so its memory
- * can go as soon as all other holders are done with it.
+ * chunks once every consumer is past them, so a run of any length
+ * holds only a couple of chunks.
  */
 
 #ifndef DSCALAR_OOO_ORACLE_STREAM_HH
@@ -26,42 +27,40 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "func/func_sim.hh"
 #include "func/inst_trace.hh"
+#include "prog/program.hh"
 
 namespace dscalar {
 namespace ooo {
 
-/** Lazily extended, chunk-refcounted window over the dynamic stream. */
+/** Lazily extended window over the dynamic stream, buffered in
+ *  whole chunks. */
 class OracleStream
 {
   public:
     /** Buffered records per chunk; matches the trace chunking so a
-     *  replay chunk expands from exactly one trace chunk. */
+     *  buffered chunk expands from exactly one source chunk. */
     static constexpr unsigned kChunkShift = func::InstTrace::kChunkShift;
     static constexpr InstSeq kChunkRecords = func::InstTrace::kChunkRecords;
     static constexpr InstSeq kChunkMask = func::InstTrace::kChunkMask;
 
     /**
-     * Live backend: @p sim executes the program on demand.
+     * @param program executed by a private func::TraceCapture when
+     *        @p trace is null
+     * @param trace a captured stream to expand instead, with no
+     *        functional execution
      * @param max_insts truncate the stream after this many dynamic
      *        instructions (0 = run the program to completion). The
      *        paper runs "100 million instructions or to completion,
      *        whichever came first".
      */
-    explicit OracleStream(func::FuncSim &sim, InstSeq max_insts = 0)
-        : sim_(&sim), maxInsts_(max_insts)
-    {
-    }
-
-    /** Replay backend: expand records from a captured trace instead
-     *  of executing; @p max_insts further truncates the trace. */
-    explicit OracleStream(
-        std::shared_ptr<const func::InstTrace> trace,
-        InstSeq max_insts = 0);
+    OracleStream(const prog::Program &program,
+                 std::shared_ptr<const func::InstTrace> trace,
+                 InstSeq max_insts = 0);
 
     /**
      * @return true when instruction @p seq exists (extending the
@@ -114,29 +113,35 @@ class OracleStream
         return static_cast<std::size_t>(limit_ - chunkStart_);
     }
 
-    /** Replay streams never touch a FuncSim. */
-    bool replaying() const { return replay_; }
+    /** Program output (Print* syscalls) of the stream: once the
+     *  stream has ended, exactly the bytes its records printed. */
+    const std::string &
+    output() const
+    {
+        return capture_ ? capture_->output() : traceOutput_;
+    }
 
   private:
-    /** Slow path of available(): produce records (live execution or
-     *  trace expansion) until @p seq is buffered or the stream
-     *  ends. */
+    /** Slow path of available(): expand source chunks until @p seq
+     *  is buffered or the stream ends. */
     bool extend(InstSeq seq);
 
-    /** Append an empty chunk sized for @p records entries. */
-    std::vector<func::DynInst> &newChunk(std::size_t records);
+    /** The next source chunk, or null when the source has no more. */
+    std::shared_ptr<const func::InstTrace::Chunk> nextSourceChunk();
 
-    func::FuncSim *sim_ = nullptr;
-    bool replay_ = false;
-    /** Per-chunk references into the trace (the stream does not pin
-     *  the whole InstTrace), dropped as trim() passes each chunk —
-     *  the refcounted chunk release that lets a shared trace's
-     *  memory go progressively as every consumer advances. */
+    /** True once the source has delivered the program's halt. */
+    bool sourceHalted() const;
+
+    /** Owned producer; null when expanding a captured trace. */
+    std::unique_ptr<func::TraceCapture> capture_;
+    /** The captured trace's chunks, each released once expanded
+     *  (the stream does not pin the whole InstTrace). */
     std::vector<std::shared_ptr<const func::InstTrace::Chunk>>
         traceChunks_;
-    InstSeq maxInsts_ = 0;
-    InstSeq replayEnd_ = 0;     ///< trace records to replay
-    bool replayHalts_ = false;  ///< trace end is a program halt
+    std::size_t nextTraceChunk_ = 0;
+    bool traceHalts_ = false; ///< the trace ends in a program halt
+    std::string traceOutput_; ///< the trace's output for max_insts
+    InstSeq stopAt_;          ///< max_insts, or no limit
 
     /** Buffered records: chunks_[0] starts at chunkStart_ (always a
      *  chunk multiple); only the last chunk may be partial. */
@@ -146,28 +151,6 @@ class OracleStream
     bool ended_ = false;
     InstSeq end_ = 0;
 };
-
-/** Backend-selection helpers shared by the timing systems: a null
- *  trace selects a live FuncSim oracle over @p program; a non-null
- *  trace selects replay (no functional execution at all). */
-inline std::unique_ptr<func::FuncSim>
-makeOracle(const prog::Program &program,
-           const std::shared_ptr<const func::InstTrace> &trace)
-{
-    if (trace)
-        return nullptr;
-    return std::make_unique<func::FuncSim>(program);
-}
-
-inline OracleStream
-makeStream(func::FuncSim *sim,
-           std::shared_ptr<const func::InstTrace> trace,
-           InstSeq max_insts)
-{
-    if (trace)
-        return OracleStream(std::move(trace), max_insts);
-    return OracleStream(*sim, max_insts);
-}
 
 } // namespace ooo
 } // namespace dscalar

@@ -173,5 +173,99 @@ TEST(CycleSkipDataScalarGo, MatchesSingleStepping)
     EXPECT_EQ(fast.busBytes, ref.busBytes);
 }
 
+/** A recovery-armed DataScalar shape: hard BSHR capacity with a
+ *  small bank, or interconnect fault injection. */
+struct RecoveryCase
+{
+    const char *name;
+    unsigned bshrEntries; ///< hard capacity; 0 = soft BSHR
+    bool faults;
+};
+
+/** Sum of stat @p name over every group of a stats dump. */
+std::uint64_t
+sumStat(const std::string &dump, const std::string &name)
+{
+    std::istringstream in(dump);
+    std::uint64_t total = 0;
+    std::string key;
+    for (std::string line; std::getline(in, line);) {
+        std::istringstream fields(line);
+        std::uint64_t value = 0;
+        if (fields >> key >> value && key == name)
+            total += value;
+    }
+    return total;
+}
+
+/** Keeps the listed test names free of pointer bytes. */
+void
+PrintTo(const RecoveryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class CycleSkipRecovery : public ::testing::TestWithParam<RecoveryCase>
+{
+};
+
+/** Re-requests, backoff timers and flow-control stalls are where the
+ *  two loop modes could part: the whole stats dump and the sampler
+ *  timeline must still match. */
+TEST_P(CycleSkipRecovery, StatsAndTimelineMatchSingleStepping)
+{
+    const RecoveryCase &rc = GetParam();
+    driver::RunRequest req;
+    // turb3d_s on two nodes first fills a 16-entry bank near 90k
+    // instructions.
+    req.workload = "turb3d_s";
+    req.system = driver::SystemKind::DataScalar;
+    req.config = testConfig(2, true);
+    req.config.maxInsts = 100000;
+    req.config.rerequestTimeout = 2000;
+    if (rc.bshrEntries) {
+        req.config.bshrHardCapacity = true;
+        req.config.bshrCapacity = rc.bshrEntries;
+    }
+    if (rc.faults) {
+        req.config.fault.dropProb = 0.02;
+        req.config.fault.dupProb = 0.02;
+        req.config.fault.delayProb = 0.1;
+        req.config.fault.maxDelay = 24;
+        req.config.fault.seed = 7;
+    }
+    req.sampleInterval = 1000;
+
+    auto observe = [&](bool event_driven) {
+        req.config.eventDriven = event_driven;
+        driver::RunResponse resp = driver::runOne(req);
+        EXPECT_TRUE(resp.ok()) << resp.error;
+        std::ostringstream ss;
+        resp.result.stats->dump(ss);
+        return std::make_tuple(resp.result.cycles, ss.str(),
+                               resp.timelineJson, resp.output);
+    };
+    auto ref = observe(false);
+    auto fast = observe(true);
+    EXPECT_EQ(std::get<0>(fast), std::get<0>(ref));
+    EXPECT_EQ(std::get<1>(fast), std::get<1>(ref));
+    EXPECT_EQ(std::get<2>(fast), std::get<2>(ref));
+    EXPECT_EQ(std::get<3>(fast), std::get<3>(ref));
+    EXPECT_FALSE(std::get<2>(ref).empty());
+    // The recovery machinery must actually have run.
+    EXPECT_GT(sumStat(std::get<1>(ref), rc.faults
+                                            ? "rerequests_sent"
+                                            : "backend_stall_events"),
+              0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HardBshrAndFaults, CycleSkipRecovery,
+    ::testing::Values(RecoveryCase{"hard4", 4, false},
+                      RecoveryCase{"hard8", 8, false},
+                      RecoveryCase{"hard16", 16, false},
+                      RecoveryCase{"faults", 0, true}),
+    [](const auto &info) { return std::string(info.param.name); });
+
 } // namespace
 } // namespace dscalar

@@ -42,11 +42,27 @@ TEST(FuzzOracle, CrossChecksRunExtraTimingRuns)
     check::GoldenRun golden = check::runGolden(p);
 
     check::TrialConfig config;
-    config.crossReplay = true;
     config.crossEventDriven = true;
     EXPECT_EQ(oracle.checkConfig(p, golden, config), "");
-    // One live run + one replay + one flipped-mode run.
-    EXPECT_EQ(oracle.stats().timingRuns, 3u);
+    // One run + one flipped-mode run.
+    EXPECT_EQ(oracle.stats().timingRuns, 2u);
+}
+
+TEST(FuzzOracle, RiskyConfigsAlwaysCrossRunLoopModes)
+{
+    // Fault injection and hard BSHR capacity are where the two
+    // run-loop modes can part, so every such config runs both.
+    check::Oracle oracle;
+    Random rng(7);
+    unsigned risky = 0;
+    for (int i = 0; i < 400; ++i) {
+        check::TrialConfig c = oracle.sampleConfig(rng);
+        if (c.faults || c.hardBshr) {
+            ++risky;
+            EXPECT_TRUE(c.crossEventDriven) << check::describeConfig(c);
+        }
+    }
+    EXPECT_GT(risky, 40u);
 }
 
 TEST(FuzzOracle, DiskReplayDifferentialPasses)
@@ -272,7 +288,7 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     r.config.dcacheAssoc = 2;
     r.config.writeAllocate = true;
     r.config.eventDriven = false;
-    r.config.crossReplay = true;
+    r.config.crossEventDriven = true;
     r.config.faults = true;
     r.config.bshrCapacity = 16;
     r.config.maxInsts = 12345;
@@ -296,7 +312,7 @@ TEST(FuzzRepro, FormatParseRoundTrip)
     EXPECT_EQ(back.config.dcacheAssoc, r.config.dcacheAssoc);
     EXPECT_TRUE(back.config.writeAllocate);
     EXPECT_FALSE(back.config.eventDriven);
-    EXPECT_TRUE(back.config.crossReplay);
+    EXPECT_TRUE(back.config.crossEventDriven);
     EXPECT_TRUE(back.config.faults);
     EXPECT_EQ(back.config.bshrCapacity, 16u);
     EXPECT_EQ(back.config.maxInsts, 12345u);

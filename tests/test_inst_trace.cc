@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/perfect.hh"
+#include "driver/driver.hh"
 #include "func/inst_trace.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
@@ -124,56 +126,58 @@ TEST(InstTrace, ReplayRejectsUnderCoveringTrace)
     auto prefix = InstTrace::capture(p, 1000);
     ASSERT_FALSE(prefix->programHalted());
     // Budgets the capture covers replay fine...
-    ooo::OracleStream ok(prefix, 1000);
+    ooo::OracleStream ok(p, prefix, 1000);
     EXPECT_TRUE(ok.available(999));
     // ...but a run-to-completion or larger budget would silently
-    // simulate fewer instructions than a live run; it must die.
-    EXPECT_DEATH(ooo::OracleStream(prefix, 0), "cannot cover");
-    EXPECT_DEATH(ooo::OracleStream(prefix, 1001), "cannot cover");
+    // simulate fewer instructions than asked for; it must die.
+    EXPECT_DEATH(ooo::OracleStream(p, prefix, 0), "cannot cover");
+    EXPECT_DEATH(ooo::OracleStream(p, prefix, 1001), "cannot cover");
 }
 
 TEST(InstTrace, ReplayStreamMatchesLiveStream)
 {
+    // Both sources of a stream — its own capture and a captured
+    // trace — must yield exactly what a FuncSim stepping the program
+    // retires, and end at the budget.
     prog::Program p = compressProgram();
     constexpr InstSeq budget = 6000; // spans two chunks
     auto trace = InstTrace::capture(p, budget);
 
-    FuncSim sim(p);
-    ooo::OracleStream live(sim, budget);
-    ooo::OracleStream replay(trace, budget);
-    EXPECT_FALSE(live.replaying());
-    EXPECT_TRUE(replay.replaying());
-
-    for (InstSeq seq = 0;; ++seq) {
-        bool has = live.available(seq);
-        ASSERT_EQ(replay.available(seq), has);
-        if (!has)
-            break;
-        const DynInst &a = live.get(seq);
-        const DynInst &b = replay.get(seq);
-        ASSERT_EQ(b.seq, a.seq);
-        ASSERT_EQ(b.pc, a.pc);
-        ASSERT_EQ(isa::encode(b.inst), isa::encode(a.inst));
-        ASSERT_EQ(b.effAddr, a.effAddr);
-        ASSERT_EQ(b.memSize, a.memSize);
-        ASSERT_EQ(b.nextPc, a.nextPc);
+    for (bool replay : {false, true}) {
+        SCOPED_TRACE(replay ? "trace" : "capture");
+        ooo::OracleStream stream(p, replay ? trace : nullptr, budget);
+        FuncSim sim(p);
+        InstSeq seq = 0;
+        for (; stream.available(seq); ++seq) {
+            DynInst live;
+            ASSERT_TRUE(sim.step(&live));
+            const DynInst &b = stream.get(seq);
+            ASSERT_EQ(b.seq, live.seq);
+            ASSERT_EQ(b.pc, live.pc);
+            ASSERT_EQ(isa::encode(b.inst), isa::encode(live.inst));
+            ASSERT_EQ(b.effAddr, live.effAddr);
+            ASSERT_EQ(b.memSize, live.memSize);
+            ASSERT_EQ(b.nextPc, live.nextPc);
+        }
+        EXPECT_EQ(seq, budget);
+        EXPECT_TRUE(stream.ended());
+        EXPECT_EQ(stream.endSeq(), budget);
+        EXPECT_EQ(stream.output(), sim.output());
     }
-    EXPECT_EQ(live.ended(), replay.ended());
-    EXPECT_EQ(live.endSeq(), replay.endSeq());
 }
 
 TEST(InstTrace, ReplayTruncatesBelowTraceLength)
 {
     prog::Program p = compressProgram();
     auto trace = InstTrace::capture(p, 6000);
-    ooo::OracleStream stream(trace, 1000);
+    ooo::OracleStream stream(p, trace, 1000);
     EXPECT_TRUE(stream.available(999));
     EXPECT_FALSE(stream.available(1000));
     EXPECT_TRUE(stream.ended());
     EXPECT_EQ(stream.endSeq(), 1000u);
 }
 
-TEST(InstTrace, TrimDropsChunkReferences)
+TEST(InstTrace, ExpansionDropsChunkReferences)
 {
     // li + (addi, bne) x3000 + halt = 6002 records: two chunks.
     prog::Program p = countdownProgram(3000);
@@ -181,19 +185,40 @@ TEST(InstTrace, TrimDropsChunkReferences)
     ASSERT_EQ(trace->numChunks(), 2u);
     long base = trace->chunk(0).use_count();
 
-    {
-        ooo::OracleStream stream(trace, 0);
-        EXPECT_EQ(trace->chunk(0).use_count(), base + 1);
-        ASSERT_TRUE(stream.available(6001));
+    ooo::OracleStream stream(p, trace, 0);
+    EXPECT_EQ(trace->chunk(0).use_count(), base + 1);
+    EXPECT_EQ(trace->chunk(1).use_count(), base + 1);
 
-        // Advancing past the first chunk releases the stream's
-        // reference into the shared trace; the trace itself still
-        // holds the chunk.
-        stream.trim(ooo::OracleStream::kChunkRecords);
-        EXPECT_EQ(trace->chunk(0).use_count(), base);
-        EXPECT_EQ(trace->chunk(1).use_count(), base + 1);
-    }
+    // Expanding a chunk releases the stream's reference into the
+    // shared trace; the trace itself still holds the chunk, and
+    // trim() never touches it.
+    ASSERT_TRUE(stream.available(0));
+    EXPECT_EQ(trace->chunk(0).use_count(), base);
+    EXPECT_EQ(trace->chunk(1).use_count(), base + 1);
+    ASSERT_TRUE(stream.available(6001));
     EXPECT_EQ(trace->chunk(1).use_count(), base);
+    stream.trim(ooo::OracleStream::kChunkRecords);
+    EXPECT_EQ(stream.get(6001).seq, 6001u);
+}
+
+TEST(TraceReplay, TruncatedReplayOutputMatchesLiveBudget)
+{
+    // A trace captured to completion, replayed at a smaller budget:
+    // the reported syscall output must be what a FuncSim stopped at
+    // that budget prints, not the full captured run's output.
+    prog::Program p = printingCountdownProgram(3000);
+    auto trace = InstTrace::capture(p);
+    ASSERT_TRUE(trace->programHalted());
+
+    core::SimConfig cfg = driver::paperConfig();
+    cfg.maxInsts = 5000; // well below the ~12000 captured records
+    baseline::PerfectSystem replay(p, cfg, trace);
+    replay.run();
+    FuncSim sim(p);
+    sim.run(cfg.maxInsts);
+    EXPECT_FALSE(sim.output().empty());
+    EXPECT_EQ(replay.output(), sim.output());
+    EXPECT_NE(replay.output(), trace->output());
 }
 
 } // namespace

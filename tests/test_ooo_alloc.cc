@@ -80,7 +80,7 @@ TEST(OoOCoreAlloc, SteadyStateAllocatesNothing)
     prog::Program program = workloads::findWorkload("turb3d_s").build(1);
     auto trace = func::InstTrace::capture(program, kTraceInsts);
     ASSERT_EQ(trace->length(), kTraceInsts);
-    OracleStream stream(trace, kTraceInsts);
+    OracleStream stream(program, trace, kTraceInsts);
     ASSERT_TRUE(stream.available(kTraceInsts - 1));
 
     LocalBackend backend{mem::MainMemoryParams{}};

@@ -29,8 +29,7 @@ CoreRun
 runCore(const Program &p, const CoreParams &params,
         InstSeq max_insts = 0)
 {
-    func::FuncSim sim(p);
-    OracleStream stream(sim, max_insts);
+    OracleStream stream(p, nullptr, max_insts);
     LocalBackend backend{mem::MainMemoryParams{}};
     OoOCore core(params, stream, backend);
     Cycle now = 0;
@@ -400,8 +399,7 @@ TEST(OoOCore, MemoryOrderIssueIsPinned)
         CoreParams params;
         params.ruuEntries = c.ruu;
         params.lsqEntries = std::max(1u, c.ruu / 2);
-        func::FuncSim sim(p);
-        OracleStream stream(sim, 0);
+        OracleStream stream(p, nullptr);
         LocalBackend backend{mem::MainMemoryParams{}};
         OoOCore core(params, stream, backend);
         Cycle now = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "func/func_sim.hh"
 #include "ooo/oracle_stream.hh"
 #include "prog/assembler.hh"
 
@@ -28,8 +31,7 @@ countdownProgram(int n)
 TEST(OracleStream, ProducesCompleteStream)
 {
     prog::Program p = countdownProgram(3);
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p, nullptr);
 
     // li, (addi, bne) x3, halt = 8 records.
     EXPECT_TRUE(stream.available(7));
@@ -42,8 +44,7 @@ TEST(OracleStream, ProducesCompleteStream)
 TEST(OracleStream, SequentialSeqNumbers)
 {
     prog::Program p = countdownProgram(5);
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p, nullptr);
     for (InstSeq s = 0; stream.available(s); ++s)
         EXPECT_EQ(stream.get(s).seq, s);
 }
@@ -51,8 +52,7 @@ TEST(OracleStream, SequentialSeqNumbers)
 TEST(OracleStream, MultipleConsumersSeeSameRecords)
 {
     prog::Program p = countdownProgram(10);
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p, nullptr);
 
     // Consumer A runs ahead; consumer B re-reads older entries.
     ASSERT_TRUE(stream.available(15));
@@ -67,8 +67,7 @@ TEST(OracleStream, TrimReleasesWholeChunksOnly)
 {
     // li + (addi, bne) x3000 + halt = 6002 records: two chunks.
     prog::Program p = countdownProgram(3000);
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p, nullptr);
     ASSERT_TRUE(stream.available(6001));
     std::size_t before = stream.bufferedCount();
     ASSERT_EQ(before, 6002u);
@@ -95,19 +94,65 @@ TEST(OracleStream, TrimReleasesWholeChunksOnly)
 TEST(OracleStream, MaxInstsTruncates)
 {
     prog::Program p = countdownProgram(1000);
-    func::FuncSim sim(p);
-    OracleStream stream(sim, 50);
+    OracleStream stream(p, nullptr, 50);
     EXPECT_TRUE(stream.available(49));
     EXPECT_FALSE(stream.available(50));
     EXPECT_TRUE(stream.ended());
     EXPECT_EQ(stream.endSeq(), 50u);
 }
 
+TEST(OracleStream, CaptureHoldsAtMostTwoChunksWhenTrimmed)
+{
+    // li + (addi, bne) x30000 + halt = 60002 records. A consumer
+    // that trims as it reads keeps the capture to the chunk it is in
+    // plus, at a boundary, the one just behind it.
+    prog::Program p = countdownProgram(30000);
+    OracleStream stream(p, nullptr);
+    InstSeq seq = 0;
+    std::size_t peak = 0;
+    for (; stream.available(seq); ++seq) {
+        EXPECT_EQ(stream.get(seq).seq, seq);
+        peak = std::max(peak, stream.bufferedCount());
+        stream.trim(seq);
+    }
+    EXPECT_EQ(seq, 60002u);
+    EXPECT_EQ(stream.endSeq(), 60002u);
+    EXPECT_LE(peak, 2 * OracleStream::kChunkRecords);
+    EXPECT_GT(peak, OracleStream::kChunkRecords);
+}
+
+TEST(OracleStream, OutputCoversTheBudget)
+{
+    // Each iteration prints one integer: the stream's output is what
+    // the records up to the budget printed, and no more.
+    using namespace prog::reg;
+    prog::Program p;
+    prog::Assembler a(p);
+    a.li(t0, 3000);
+    a.label("loop");
+    a.addi(a0, t0, 0);
+    a.syscall(isa::Syscall::PrintInt);
+    a.addi(t0, t0, -1);
+    a.bne(t0, zero, "loop");
+    a.halt();
+    a.finalize();
+
+    for (InstSeq budget : {InstSeq(0), InstSeq(5000)}) {
+        OracleStream stream(p, nullptr, budget);
+        InstSeq seq = 0;
+        while (stream.available(seq))
+            stream.trim(seq++);
+        func::FuncSim sim(p);
+        sim.run(budget ? budget : ~InstSeq(0));
+        EXPECT_EQ(seq, sim.retired());
+        EXPECT_EQ(stream.output(), sim.output()) << "budget " << budget;
+    }
+}
+
 TEST(OracleStreamDeath, TrimmedAccessPanics)
 {
     prog::Program p = countdownProgram(3000);
-    func::FuncSim sim(p);
-    OracleStream stream(sim);
+    OracleStream stream(p, nullptr);
     ASSERT_TRUE(stream.available(6001));
     stream.trim(OracleStream::kChunkRecords);
     // get() itself only asserts in debug builds; the probe is the

@@ -501,7 +501,6 @@ check::TrialConfig
 mutateConfig(check::TrialConfig c, Random &rng)
 {
     c.system = driver::SystemKind::DataScalar;
-    c.crossReplay = false;
     c.crossEventDriven = false;
     c.traceDir.clear();
     switch (rng.below(8)) {
